@@ -219,7 +219,7 @@ def verify_rate(pair, xi, iterations, x0=None, floor=1e-280):
     from .experiments import altproj_trace
 
     trace = altproj_trace(pair, tuple(xi), iterations, x0=x0)
-    resid = np.asarray(trace.residuals)
+    resid = np.asarray(trace.values("residual"))
     ks = np.arange(resid.size)
     window = ks >= iterations // 2
     alive = resid > floor

@@ -35,7 +35,6 @@ from .altproj_accel import (
 )
 from .experiments import (
     AxesSpec,
-    TraceSeries,
     altproj_trace,
     emit_csv,
     emit_svg,
@@ -47,7 +46,7 @@ from .experiments import (
     run_lsp,
     run_matfac,
 )
-from .multistep import bdf_coefficients
+from .multistep import Trace, bdf_coefficients
 from .numerics import seeded_rng
 from .spectral import (
     CompanionSpec,
@@ -276,15 +275,7 @@ def cmd_figure1(args):
             pts = [
                 (r.beta, r.radius) for r in report.rows if r.tau == tau and r.m == m
             ]
-            series.append(
-                TraceSeries(
-                    experiment="figure1",
-                    seed=0,
-                    tau=tau,
-                    metrics={"radius": pts},
-                    walltimes={},
-                )
-            )
+            series.append(Trace(tau, experiment="figure1", metrics={"radius": pts}))
         emit_svg(
             series,
             out / f"{stem}.svg",
@@ -307,8 +298,6 @@ def cmd_run(args):
     seed = args.seed
     taus = args.tau or [1, 2, 3]
     iters = args.iters
-    diverged = False
-    series = []
     extra = {}
 
     if args.experiment == "l1":
@@ -322,10 +311,7 @@ def cmd_run(args):
             inner_alpha=args.alpha,
         )
         extra["f_star"] = result.f_star
-        for tau, tr in result.traces.items():
-            series.append(
-                TraceSeries.from_run_trace(tr, "l1", seed, tau, f_star=result.f_star)
-            )
+        traces = result.traces
         axes = AxesSpec("l1 objective gap", "iteration", "F - F*", "objective_gap")
     elif args.experiment == "lsp":
         theta = 5.0 if args.theta is None else args.theta
@@ -337,8 +323,7 @@ def cmd_run(args):
             problem, theta, taus, beta, m, iters, stop_tol=args.tol,
             inner_alpha=args.alpha,
         )
-        for tau, tr in result.traces.items():
-            series.append(TraceSeries.from_run_trace(tr, "lsp", seed, tau))
+        traces = result.traces
         axes = AxesSpec(
             "lsp stationarity", "iteration", "epsilon_beta", "epsilon_beta"
         )
@@ -347,8 +332,6 @@ def cmd_run(args):
         iters = 300 if iters is None else iters
         pair = gen_subspaces(args.n or 500, args.d or 400, sigma, seed)
         traces = run_altproj(pair, taus, iters)
-        for tau, tr in traces.items():
-            series.append(TraceSeries.from_altproj_trace(tr, "altproj", seed, tau))
         axes = AxesSpec("alternating projections", "iteration", "residual", "residual")
     elif args.experiment == "matfac":
         alpha = 0.1 if args.alpha is None else args.alpha
@@ -356,12 +339,17 @@ def cmd_run(args):
         iters = 300 if iters is None else iters
         problem = gen_matfac(args.n or 100, rank, alpha, seed)
         traces = run_matfac(problem, taus, iters)
-        for tau, tr in traces.items():
-            series.append(TraceSeries.from_matfac_trace(tr, "matfac", seed, tau))
         axes = AxesSpec("matrix factorization", "iteration", "objective", "objective")
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.experiment)
 
+    series = list(traces.values())
+    for trace in series:
+        trace.experiment, trace.seed = args.experiment, seed
+    # a metric with no positive value (lsp from an already stationary start
+    # records epsilon_beta = 0 throughout) has nothing to show on a log axis
+    if not any(v > 0 for s in series for _, v in s.metrics.get(axes.metric, ())):
+        axes.ylog = False
     diverged = any(s.diverged for s in series)
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(series, out / f"{args.experiment}_traces.csv")
@@ -420,14 +408,9 @@ def cmd_accel(args):
         )
     out.mkdir(parents=True, exist_ok=True)
     _write_table(rows, out / "accel.csv")
-    series = [
-        TraceSeries.from_altproj_trace(
-            altproj_trace(pair, (1.0,), iters), "altproj_accel", args.seed, 1
-        ),
-        TraceSeries.from_altproj_trace(
-            altproj_trace(pair, (xi1, xi2), iters), "altproj_accel", args.seed, 2
-        ),
-    ]
+    series = [altproj_trace(pair, xi, iters) for xi in ((1.0,), (xi1, xi2))]
+    for trace in series:
+        trace.experiment, trace.seed = "altproj_accel", args.seed
     emit_csv(series, out / "accel_traces.csv")
     emit_svg(
         series,
@@ -488,7 +471,11 @@ def build_parser():
     p_fig.add_argument("--tau", type=_int_list, default=None)
     p_fig.add_argument("--m-list", type=_int_list, default=None)
     p_fig.add_argument("--l-list", type=_float_list, default=None)
-    p_fig.add_argument("--alpha", type=float, default=None)
+    p_fig.add_argument(
+        "--alpha", type=float, default=None,
+        help="inner proximal-gradient step size the radii are computed for "
+        "(default 1.0)",
+    )
     p_fig.add_argument("--beta-min", type=float, default=None)
     p_fig.add_argument("--beta-max", type=float, default=None)
     p_fig.add_argument("--beta-points", type=int, default=None)
@@ -500,7 +487,12 @@ def build_parser():
     p_run.add_argument("--tau", type=_int_list, default=None)
     p_run.add_argument("--beta", type=float, default=None)
     p_run.add_argument("--m", type=int, default=None)
-    p_run.add_argument("--alpha", type=float, default=None)
+    p_run.add_argument(
+        "--alpha", type=float, default=None,
+        help="l1, lsp: inner proximal-gradient step size (default "
+        "beta / (beta L + 1)); matfac: proximal weight of each block solve "
+        "(default 0.1); altproj: unused",
+    )
     p_run.add_argument("--lambda", dest="lam", type=float, default=None)
     p_run.add_argument("--theta", type=float, default=None)
     p_run.add_argument("--sigma", type=float, default=None)

@@ -8,8 +8,7 @@ here: traces carry a flag and end early instead of raising.
 """
 
 import csv
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 from xml.sax.saxutils import escape
 
@@ -18,10 +17,9 @@ import numpy as np
 from .multistep import (
     CompositeObjective,
     DivergenceError,
-    IterateHistory,
     MultistepConfig,
     bdf_coefficients,
-    mix,
+    iterate,
     run,
 )
 from .numerics import (
@@ -141,46 +139,38 @@ def lsp_objective(problem, theta):
     )
 
 
-_REFERENCE_CACHE = {}
-
-
 def reference_optimum(problem, lam, beta, m=50, budget=50000):
     """Per-instance F* oracle: a long single-step high-budget run.
 
-    Runs with 10x the usual iteration budget (m = 50 inner steps) and
-    stops once the objective stagnates. Cached per instance.
+    Runs at most ``budget`` exact (lam = 0) or m = 50 inner-step prox
+    steps and stops once the objective has not improved by more than
+    1e-15 relative for 50 steps in a row; returns the best value seen.
     """
-    key = (problem.seed, problem.shape, problem.spectrum_kind, lam, beta)
-    if key in _REFERENCE_CACHE:
-        return _REFERENCE_CACHE[key]
     objective = lasso_objective(problem, lam)
     cfg = MultistepConfig(
         tau=1, xi=(1.0,), beta=beta, inner_m=None if lam == 0.0 else m
     )
-    x = np.zeros(problem.a.shape[1])
-    best = objective.value(x)
-    history = IterateHistory(1)
-    history.push(x)
-    stall = 0
-    for _ in range(budget):
-        trace = run(objective, cfg, history.last(), 1)
-        history.push(trace.final())
-        val = trace.objective[-1]
+    x0 = np.zeros(problem.a.shape[1])
+    best, stall = objective.value(x0), 0
+
+    def stagnated(trace):
+        nonlocal best, stall
+        val = trace.metrics["objective"][-1][1]
         if val >= best - 1e-15 * max(1.0, abs(best)):
             stall += 1
             if stall >= 50:
-                break
+                return True
         else:
             stall = 0
         best = min(best, val)
-    _REFERENCE_CACHE[key] = best
+        return False
+
+    run(objective, cfg, x0, budget, stop_metric=stagnated)
     return best
 
 
-def _sensing_run(
-    objective, taus, beta, m, iterations, x0, stop_tol, f_star, stat_every,
-    inner_alpha=None,
-):
+def _sensing_run(objective, taus, beta, m, iterations, x0, inner_alpha, **kwargs):
+    """One ``run`` per BDF order; a diverged run keeps its partial trace."""
     traces = {}
     for tau in taus:
         xi, xi_bar = bdf_coefficients(tau)
@@ -189,16 +179,7 @@ def _sensing_run(
             inner_alpha=inner_alpha,
         )
         try:
-            traces[tau] = run(
-                objective,
-                cfg,
-                x0,
-                iterations,
-                stop_tol=stop_tol,
-                stop_metric="objective_gap" if f_star is not None else None,
-                f_star=f_star,
-                stat_every=stat_every,
-            )
+            traces[tau] = run(objective, cfg, x0, iterations, **kwargs)
         except DivergenceError as err:
             traces[tau] = err.trace
     return traces
@@ -221,8 +202,8 @@ def run_l1(
     if f_star is None:
         f_star = reference_optimum(problem, lam, beta)
     traces = _sensing_run(
-        objective, taus, beta, m, iterations, x0, stop_tol, f_star,
-        stat_every=0, inner_alpha=inner_alpha,
+        objective, taus, beta, m, iterations, x0, inner_alpha,
+        stop_tol=stop_tol, stop_metric="objective_gap", f_star=f_star,
     )
     return SensingResult(traces, f_star)
 
@@ -236,25 +217,12 @@ def run_lsp(
     objective = lsp_objective(problem, theta)
     if x0 is None:
         x0 = np.zeros(problem.a.shape[1])
-    traces = {}
-    for tau in taus:
-        xi, xi_bar = bdf_coefficients(tau)
-        cfg = MultistepConfig(
-            tau=tau, xi=tuple(xi), beta=beta, inner_m=m, xi_bar=xi_bar,
-            inner_alpha=inner_alpha,
-        )
-        try:
-            traces[tau] = run(
-                objective,
-                cfg,
-                x0,
-                iterations,
-                stop_tol=stop_tol,
-                stop_metric="epsilon_beta" if stop_tol is not None else None,
-                stat_every=stat_every,
-            )
-        except DivergenceError as err:
-            traces[tau] = err.trace
+    traces = _sensing_run(
+        objective, taus, beta, m, iterations, x0, inner_alpha,
+        stop_tol=stop_tol,
+        stop_metric="epsilon_beta" if stop_tol is not None else None,
+        stat_every=stat_every,
+    )
     return SensingResult(traces, None)
 
 
@@ -295,71 +263,36 @@ def gen_subspaces(n, d, sigma, seed, max_retries=3):
     raise RankError(f"rank-deficient generators after {max_retries + 1} draws")
 
 
-@dataclass
-class AltProjTrace:
-    """Residual history of a multistep alternating-projection run."""
-
-    ks: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-    walltime_s: list = field(default_factory=list)
-    iterates: list = field(default_factory=list)
-    diverged: bool = False
-    diverged_at: Optional[int] = None
-
-
-def altproj_trace(pair, xi, iterations, x0=None, warmup="repeat"):
+def altproj_trace(pair, xi, iterations, x0=None):
     """Run y = proj_1(x_mix), x = proj_2(y) with mixing on the x-iterates.
 
-    The recorded residual is |(I - P1 P2) x^(k)| (P2 applied first).
+    The history starts filled with x0. The recorded metric "residual" is
+    |(I - P1 P2) x^(k)| (P2 applied first).
     """
     b1 = orthonormal_basis(pair.c1)
     b2 = orthonormal_basis(pair.c2)
     xi = tuple(float(v) for v in xi)
     if abs(sum(xi) - 1.0) > TOL.mixing_weight_sum:
         raise ValidationError(f"xi must sum to 1, got {sum(xi)!r}")
-    tau = len(xi)
     if x0 is None:
         x0 = seeded_rng(pair.seed if pair.seed is not None else 0).standard_normal(
             b1.shape[0]
         )
     x0 = as_vector(x0, "x0")
 
-    def residual(x):
-        return float(np.linalg.norm(x - b1 @ (b1.T @ (b2 @ (b2.T @ x)))))
+    def step(mixed, last):
+        y = b1 @ (b1.T @ mixed[0])
+        return (b2 @ (b2.T @ y),)
 
-    trace = AltProjTrace()
-    history = IterateHistory(tau)
-    if warmup == "repeat":
-        for _ in range(tau):
-            history.push(x0)
-    else:
-        history.push(x0)
+    def record(trace, k, state):
+        x = state[0]
+        residual = x - b1 @ (b1.T @ (b2 @ (b2.T @ x)))
+        trace.add("residual", k, float(np.linalg.norm(residual)))
 
-    trace.ks.append(0)
-    trace.residuals.append(residual(x0))
-    trace.walltime_s.append(0.0)
-    trace.iterates.append(x0)
-
-    for k in range(iterations):
-        t0 = time.perf_counter()
-        if history.full:
-            x_mix = mix(history, xi)
-        else:
-            padded = [x0] * (tau - len(history)) + history.entries()
-            x_mix = mix(padded, xi)
-        y = b1 @ (b1.T @ x_mix)
-        x = b2 @ (b2.T @ y)
-        norm = float(np.linalg.norm(x))
-        if not np.isfinite(norm) or norm > TOL.divergence_norm:
-            trace.diverged = True
-            trace.diverged_at = k + 1
-            break
-        trace.ks.append(k + 1)
-        trace.residuals.append(residual(x))
-        trace.walltime_s.append(time.perf_counter() - t0)
-        trace.iterates.append(x)
-        history.push(x)
-    return trace
+    try:
+        return iterate(step, (x0,), xi, iterations, record, warmup="repeat")
+    except DivergenceError as err:
+        return err.trace
 
 
 def run_altproj(pair, taus, iterations, x0=None):
@@ -401,93 +334,43 @@ def gen_matfac(n, rank, alpha, seed):
     return MatFacProblem(rng.standard_normal((n, n)), rank, alpha, seed)
 
 
-@dataclass
-class MatFacTrace:
-    ks: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-    walltime_s: list = field(default_factory=list)
-    diverged: bool = False
-    diverged_at: Optional[int] = None
-    factors: Optional[tuple] = None
-
-
-def matfac_trace(problem, xi, iterations, factors0=None, warmup="ramp"):
+def matfac_trace(problem, xi, iterations, factors0=None):
     """Multistep alternating minimization on (1/2)|U V^T - R|_F^2.
 
-    Each block update is an exact ridge-regularized least-squares solve;
-    mixing applies per block with the shared weights.
+    The state is the block pair (U, V), mixed block by block with the
+    shared weights; each block update is an exact ridge-regularized
+    least-squares solve. The recorded metric is "objective" and the
+    trace's ``state`` holds the last accepted factors. Without
+    ``factors0`` the start factors are seeded standard normals.
     """
     xi = tuple(float(v) for v in xi)
-    tau = len(xi)
     r_mat, alpha = problem.r_matrix, problem.alpha
-    n = r_mat.shape[0]
-    rng = seeded_rng(problem.seed)
     if factors0 is None:
-        u = rng.standard_normal((n, problem.rank))
-        v = rng.standard_normal((n, problem.rank))
+        rng = seeded_rng(problem.seed)
+        shape = (r_mat.shape[0], problem.rank)
+        factors0 = (rng.standard_normal(shape), rng.standard_normal(shape))
     else:
-        u, v = (f.copy() for f in factors0)
-
-    def objective(u_m, v_m):
-        return 0.5 * float(np.linalg.norm(u_m @ v_m.T - r_mat) ** 2)
-
-    trace = MatFacTrace()
-    hist_u, hist_v = [], []
-
-    def push(u_m, v_m):
-        hist_u.append(u_m)
-        hist_v.append(v_m)
-        if len(hist_u) > tau:
-            hist_u.pop(0)
-            hist_v.pop(0)
-
-    if warmup == "repeat":
-        for _ in range(tau):
-            push(u, v)
-    else:
-        push(u, v)
-
-    def mix_blocks():
-        have = len(hist_u)
-        if have == tau:
-            weights = xi
-            us, vs = hist_u, hist_v
-        elif have in (1, 2, 3, 4) and have < tau:
-            weights = tuple(bdf_coefficients(have)[0])
-            us, vs = hist_u[-have:], hist_v[-have:]
-        else:
-            weights = xi
-            us = [hist_u[0]] * (tau - have) + hist_u
-            vs = [hist_v[0]] * (tau - have) + hist_v
-        u_m = sum(w * m for w, m in zip(weights, us))
-        v_m = sum(w * m for w, m in zip(weights, vs))
-        return u_m, v_m
-
-    trace.ks.append(0)
-    trace.objective.append(objective(u, v))
-    trace.walltime_s.append(0.0)
-
+        factors0 = tuple(f.copy() for f in factors0)
     eye = np.eye(problem.rank)
-    for k in range(iterations):
-        t0 = time.perf_counter()
-        u_mix, v_mix = mix_blocks()
+
+    def step(mixed, last):
+        u_mix, v_mix = mixed
         u = np.linalg.solve(
             (v_mix.T @ v_mix + eye / alpha).T, (r_mat @ v_mix + u_mix / alpha).T
         ).T
         v = np.linalg.solve(
             (u.T @ u + eye / alpha).T, (r_mat.T @ u + v_mix / alpha).T
         ).T
-        scale = max(float(np.linalg.norm(u)), float(np.linalg.norm(v)))
-        if not np.isfinite(scale) or scale > TOL.divergence_norm:
-            trace.diverged = True
-            trace.diverged_at = k + 1
-            break
-        trace.ks.append(k + 1)
-        trace.objective.append(objective(u, v))
-        trace.walltime_s.append(time.perf_counter() - t0)
-        push(u, v)
-    trace.factors = (u, v)
-    return trace
+        return (u, v)
+
+    def record(trace, k, state):
+        u, v = state
+        trace.add("objective", k, 0.5 * float(np.linalg.norm(u @ v.T - r_mat) ** 2))
+
+    try:
+        return iterate(step, factors0, xi, iterations, record)
+    except DivergenceError as err:
+        return err.trace
 
 
 def run_matfac(problem, taus, iterations, factors0=None):
@@ -502,64 +385,6 @@ def run_matfac(problem, taus, iterations, factors0=None):
 # ---------------------------------------------------------------------------
 # serialization
 
-@dataclass
-class TraceSeries:
-    """Uniform long-format view of any trace for CSV/SVG emission."""
-
-    experiment: str
-    seed: int
-    tau: int
-    metrics: dict
-    walltimes: dict
-    diverged: bool = False
-    diverged_at: Optional[int] = None
-
-    @classmethod
-    def from_run_trace(cls, trace, experiment, seed, tau, f_star=None):
-        metrics = {"objective": list(zip(trace.ks, trace.objective))}
-        if f_star is not None:
-            metrics["objective_gap"] = [
-                (k, v - f_star) for k, v in zip(trace.ks, trace.objective)
-            ]
-        if trace.iterate_error is not None:
-            metrics["iterate_error"] = list(zip(trace.ks, trace.iterate_error))
-        if trace.stationarity:
-            metrics["epsilon_beta"] = list(trace.stationarity)
-        return cls(
-            experiment,
-            seed,
-            tau,
-            metrics,
-            dict(zip(trace.ks, trace.walltime_s)),
-            trace.diverged,
-            trace.diverged_at,
-        )
-
-    @classmethod
-    def from_altproj_trace(cls, trace, experiment, seed, tau):
-        return cls(
-            experiment,
-            seed,
-            tau,
-            {"residual": list(zip(trace.ks, trace.residuals))},
-            dict(zip(trace.ks, trace.walltime_s)),
-            trace.diverged,
-            trace.diverged_at,
-        )
-
-    @classmethod
-    def from_matfac_trace(cls, trace, experiment, seed, tau):
-        return cls(
-            experiment,
-            seed,
-            tau,
-            {"objective": list(zip(trace.ks, trace.objective))},
-            dict(zip(trace.ks, trace.walltime_s)),
-            trace.diverged,
-            trace.diverged_at,
-        )
-
-
 CSV_HEADER = "experiment,seed,tau,k,metric_name,metric_value,walltime_s,diverged"
 
 
@@ -567,20 +392,25 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
-def emit_csv(series_list, path):
-    """Write traces in the long CSV schema (17 significant digits)."""
-    if not series_list:
+def emit_csv(traces, path):
+    """Write traces in the long CSV schema (17 significant digits).
+
+    The diverged flag is set on each metric's row at a diverged trace's
+    last accepted step.
+    """
+    if not traces:
         raise ValidationError("no traces to serialize")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        for s in series_list:
-            last_k = max(s.walltimes) if s.walltimes else 0
-            for name in sorted(s.metrics):
-                for k, value in s.metrics[name]:
-                    flag = 1 if (s.diverged and k == last_k) else 0
+        for t in traces:
+            last_k = t.ks[-1] if t.ks else 0
+            walltimes = dict(zip(t.ks, t.walltime_s))
+            for name in sorted(t.metrics):
+                for k, value in t.metrics[name]:
+                    flag = 1 if (t.diverged and k == last_k) else 0
                     fh.write(
-                        f"{s.experiment},{s.seed},{s.tau},{k},{name},"
-                        f"{_fmt(value)},{_fmt(s.walltimes.get(k, 0.0))},{flag}\n"
+                        f"{t.experiment},{t.seed},{t.tau},{k},{name},"
+                        f"{_fmt(value)},{_fmt(walltimes.get(k, 0.0))},{flag}\n"
                     )
 
 
@@ -615,16 +445,16 @@ class AxesSpec:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def emit_svg(series_list, path, axes):
+def emit_svg(traces, path, axes):
     """Self-contained static SVG line plot, one polyline per trace."""
-    if not series_list:
+    if not traces:
         raise ValidationError("no traces to plot")
     width, height = 880, 540
     left, right, top, bottom = 70, 150, 46, 56
     plot_w, plot_h = width - left - right, height - top - bottom
 
     curves = []
-    for s in series_list:
+    for s in traces:
         pts = [
             (float(k), float(v))
             for k, v in s.metrics.get(axes.metric, [])

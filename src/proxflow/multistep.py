@@ -36,7 +36,7 @@ class DegenerateParameterError(ArithmeticError):
 class DivergenceError(ArithmeticError):
     """Iteration produced a non-finite or runaway iterate.
 
-    ``trace`` carries the partial RunTrace up to the failure; ``step``
+    ``trace`` carries the partial Trace up to the failure; ``step``
     is the inner-solver step index when the inner loop failed.
     """
 
@@ -162,46 +162,14 @@ class MultistepConfig:
         return self.xi_bar * self.beta if self.use_xi_bar_scaling else self.beta
 
 
-class IterateHistory:
-    """Ring buffer of the last ``tau`` iterates, most recent last."""
-
-    def __init__(self, tau):
-        if tau < 1:
-            raise ValidationError("history capacity must be >= 1")
-        self.tau = tau
-        self._buf = []
-
-    def push(self, x):
-        x = as_vector(x, "iterate")
-        if self._buf and x.size != self._buf[-1].size:
-            raise ValidationError("iterate dimension changed")
-        self._buf.append(x)
-        if len(self._buf) > self.tau:
-            self._buf.pop(0)
-
-    def __len__(self):
-        return len(self._buf)
-
-    @property
-    def full(self):
-        return len(self._buf) == self.tau
-
-    def last(self):
-        return self._buf[-1]
-
-    def entries(self):
-        return list(self._buf)
-
-
-def mix(history, xi):
-    """Weighted sum of history entries; xi[-1] weights the most recent."""
-    entries = history.entries() if isinstance(history, IterateHistory) else list(history)
-    if len(entries) != len(xi):
+def mix(states, xi):
+    """Weighted sum of states; xi[-1] weights the most recent."""
+    if len(states) != len(xi):
         raise ValidationError(
-            f"history holds {len(entries)} iterates but xi has {len(xi)} weights"
+            f"history holds {len(states)} iterates but xi has {len(xi)} weights"
         )
-    out = np.zeros_like(entries[0])
-    for w, x in zip(xi, entries):
+    out = np.zeros_like(states[0])
+    for w, x in zip(xi, states):
         out += w * x
     return out
 
@@ -240,33 +208,87 @@ def approx_prox(objective, x_mix, start, beta, m, alpha):
 
 
 @dataclass
-class RunTrace:
-    """Per-iteration record of a multistep run (index 0 is the start)."""
+class Trace:
+    """Record of one multistep run; step 0 is the start.
 
+    ``metrics`` maps a metric name to its (k, value) points, which
+    ``emit_csv`` writes and ``emit_svg`` plots; ``ks`` and ``walltime_s``
+    hold one entry per accepted state, and ``state`` is the last accepted
+    state (a tuple of blocks). ``iterates`` and ``inner_steps`` are filled
+    by ``run`` only. ``experiment`` and ``seed`` label the CSV rows.
+    """
+
+    tau: int
+    experiment: str = ""
+    seed: int = 0
     ks: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-    iterate_error: Optional[list] = None
-    stationarity: list = field(default_factory=list)  # (k, epsilon_beta) pairs
-    inner_steps: list = field(default_factory=list)
+    metrics: dict = field(default_factory=dict)
     walltime_s: list = field(default_factory=list)
+    inner_steps: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
+    state: Optional[tuple] = None
     diverged: bool = False
     diverged_at: Optional[int] = None
 
-    def final(self):
-        return self.iterates[-1]
+    def add(self, name, k, value):
+        self.metrics.setdefault(name, []).append((k, value))
 
-    def iterations(self):
-        return self.ks[-1] if self.ks else 0
+    def values(self, name):
+        """The recorded values of one metric, in step order."""
+        return [v for _, v in self.metrics[name]]
 
 
-def _warmup_weights(cfg, available):
-    """Mixing weights for a ramp step with ``available`` < tau iterates."""
-    if available in _BDF_TABLE:
-        xi, _ = bdf_coefficients(available)
-        return tuple(xi), available
-    # custom high orders cannot ramp through the table; pad like "repeat"
-    return cfg.xi, None
+def iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
+    """The multistep engine: mix the last tau states, then apply ``step``.
+
+    A state is a tuple of arrays (blocks), mixed block by block with the
+    weights ``xi``. ``step(mixed, last)`` returns the next state given the
+    mixed state and the most recent one. ``record(trace, k, state)`` adds
+    the metrics of each accepted state, the start included, and
+    ``stop(trace)``, checked after each step, ends the run early.
+
+    Warmup: "ramp" mixes with the BDF row of the available order while
+    fewer than tau states exist (orders above 4 pad with x0); "repeat"
+    fills the history with x0. A state with a non-finite block or a block
+    norm above ``TOL.divergence_norm`` is rejected. Divergence, there or
+    raised by ``step`` or ``record``, marks the trace diverged at the
+    failing step and raises DivergenceError carrying it.
+    """
+    tau = len(xi)
+    trace = Trace(tau, ks=[0], walltime_s=[0.0], state=x0)
+    states = [x0] * tau if warmup == "repeat" else [x0]
+    k = 0
+    try:
+        record(trace, 0, x0)
+        for k in range(1, iterations + 1):
+            t0 = time.perf_counter()
+            weights, mixed_from = xi, states
+            if len(states) < tau:
+                if len(states) in _BDF_TABLE:
+                    weights = bdf_coefficients(len(states))[0]
+                else:
+                    mixed_from = [x0] * (tau - len(states)) + states
+            mixed = tuple(mix(blocks, weights) for blocks in zip(*mixed_from))
+            x_next = step(mixed, states[-1])
+            for block in x_next:
+                norm = float(np.linalg.norm(block))
+                if not math.isfinite(norm) or norm > TOL.divergence_norm:
+                    raise DivergenceError(f"iterate norm {norm:.3e} at outer step {k}")
+            trace.ks.append(k)
+            trace.walltime_s.append(time.perf_counter() - t0)
+            trace.state = x_next
+            record(trace, k, x_next)
+            states.append(x_next)
+            if len(states) > tau:
+                states.pop(0)
+            if stop is not None and stop(trace):
+                break
+    except DivergenceError as err:
+        trace.diverged = True
+        trace.diverged_at = k
+        err.trace = trace
+        raise
+    return trace
 
 
 def run(
@@ -281,109 +303,69 @@ def run(
 ):
     """Run the multistep iteration for ``iterations`` outer steps.
 
-    Stops early when ``stop_metric`` ("objective_gap", "iterate_error" or
-    "epsilon_beta") drops to ``stop_tol``. ``stat_every`` > 0 additionally
-    records the stationarity measure every that many iterations.
+    Each step is ``approx_prox`` (or the exact prox when ``cfg.inner_m``
+    is None) on the mixed iterate. The trace records the metrics
+    "objective", "objective_gap" (when ``f_star`` is given),
+    "iterate_error" (when the minimizer is known) and "epsilon_beta"
+    (every ``stat_every`` iterations when that is > 0), and keeps every
+    iterate. Stops early when ``stop_metric`` (one of those metric names)
+    drops to ``stop_tol``; ``stop_metric`` may instead be a predicate on
+    the trace, which stops the run when it returns true.
     Divergence (non-finite iterate or norm above ``TOL.divergence_norm``)
     raises DivergenceError carrying the partial trace.
     """
     if iterations < 0:
         raise ValidationError(f"iterations must be >= 0, got {iterations}")
-    if stop_metric not in (None, "objective_gap", "iterate_error", "epsilon_beta"):
+    if not callable(stop_metric) and stop_metric not in (
+        None, "objective_gap", "iterate_error", "epsilon_beta"
+    ):
         raise ValidationError(f"unknown stop metric {stop_metric!r}")
     if stop_metric == "objective_gap" and f_star is None:
         raise ValidationError("objective_gap stopping requires f_star")
     if stop_metric == "iterate_error" and objective.minimizer is None:
         raise ValidationError("iterate_error stopping requires a known minimizer")
+    if cfg.inner_m is None and objective.exact_prox is None:
+        raise ValidationError("inner_m=None requires an exact prox oracle")
 
     x0 = as_vector(x0, "x0")
     beta = cfg.effective_beta()
     alpha = cfg.inner_alpha
     if alpha is None:
         alpha = beta / (beta * objective.smoothness + 1.0)
+    inner = 0 if cfg.inner_m is None else cfg.inner_m
 
-    trace = RunTrace()
-    if objective.minimizer is not None:
-        trace.iterate_error = []
-
-    history = IterateHistory(cfg.tau)
-    if cfg.warmup == "repeat":
-        for _ in range(cfg.tau):
-            history.push(x0)
-    else:
-        history.push(x0)
-
-    def record(k, x, inner, elapsed):
-        trace.ks.append(k)
-        trace.objective.append(float(objective.value(x)))
-        trace.inner_steps.append(inner)
-        trace.walltime_s.append(elapsed)
-        trace.iterates.append(x)
-        if trace.iterate_error is not None:
-            trace.iterate_error.append(float(np.linalg.norm(x - objective.minimizer)))
-        want_stat = stat_every > 0 and k % stat_every == 0
-        if want_stat or stop_metric == "epsilon_beta":
-            try:
-                eps = epsilon_stationarity(objective, x, beta, inner_alpha=alpha)
-            except DivergenceError as err:
-                trace.diverged = True
-                trace.diverged_at = k
-                raise DivergenceError(str(err), trace=trace, step=err.step) from None
-            trace.stationarity.append((k, eps))
-
-    record(0, x0, 0, 0.0)
-
-    for k in range(iterations):
-        t0 = time.perf_counter()
-        if history.full:
-            x_mix = mix(history, cfg.xi)
-        else:
-            xi_k, order = _warmup_weights(cfg, len(history))
-            if order is None:
-                padded = [x0] * (cfg.tau - len(history)) + history.entries()
-                x_mix = mix(padded, xi_k)
-            else:
-                x_mix = mix(history.entries()[-order:], xi_k)
-
+    def step(mixed, last):
         if cfg.inner_m is None:
-            if objective.exact_prox is None:
-                raise ValidationError("inner_m=None requires an exact prox oracle")
-            x_next = objective.exact_prox(x_mix, beta)
-            inner = 0
-        else:
-            start = history.last() if cfg.inner_start == "previous" else x_mix
-            try:
-                x_next = approx_prox(
-                    objective, x_mix, start, beta, cfg.inner_m, alpha
-                )
-            except DivergenceError as err:
-                trace.diverged = True
-                trace.diverged_at = k + 1
-                raise DivergenceError(str(err), trace=trace, step=err.step) from None
-            inner = cfg.inner_m
+            return (objective.exact_prox(mixed[0], beta),)
+        start = last[0] if cfg.inner_start == "previous" else mixed[0]
+        return (approx_prox(objective, mixed[0], start, beta, cfg.inner_m, alpha),)
 
-        norm = float(np.linalg.norm(x_next))
-        if not np.isfinite(norm) or norm > TOL.divergence_norm:
-            trace.diverged = True
-            trace.diverged_at = k + 1
-            raise DivergenceError(
-                f"iterate norm {norm:.3e} at outer step {k + 1}", trace=trace
+    def record(trace, k, state):
+        x = state[0]
+        trace.iterates.append(x)
+        trace.inner_steps.append(inner if k else 0)
+        value = float(objective.value(x))
+        trace.add("objective", k, value)
+        if f_star is not None:
+            trace.add("objective_gap", k, value - f_star)
+        if objective.minimizer is not None:
+            trace.add("iterate_error", k, float(np.linalg.norm(x - objective.minimizer)))
+        if (stat_every > 0 and k % stat_every == 0) or stop_metric == "epsilon_beta":
+            trace.add(
+                "epsilon_beta",
+                k,
+                epsilon_stationarity(objective, x, beta, inner_alpha=alpha),
             )
 
-        record(k + 1, x_next, inner, time.perf_counter() - t0)
-        history.push(x_next)
+    done = None
+    if callable(stop_metric):
+        done = stop_metric
+    elif stop_metric is not None and stop_tol is not None:
 
-        if stop_metric is not None and stop_tol is not None:
-            if stop_metric == "objective_gap":
-                metric = trace.objective[-1] - f_star
-            elif stop_metric == "iterate_error":
-                metric = trace.iterate_error[-1]
-            else:
-                metric = trace.stationarity[-1][1]
-            if metric <= stop_tol:
-                break
+        def done(trace):
+            return trace.metrics[stop_metric][-1][1] <= stop_tol
 
-    return trace
+    return iterate(step, (x0,), cfg.xi, iterations, record, cfg.warmup, done)
 
 
 def epsilon_stationarity(objective, x, beta, inner_m=None, inner_alpha=None):

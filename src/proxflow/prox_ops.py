@@ -6,7 +6,6 @@ consumed by the multistep driver.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -130,39 +129,3 @@ def project_subspace(basis, x):
             f"basis is not orthonormal: max |B^T B - I| = {gram_dev:.3e}"
         )
     return b @ (b.T @ v)
-
-
-@dataclass
-class ProxOracle:
-    """A prox evaluator ``(point, weight) -> point`` with a descriptor tag."""
-
-    evaluator: Callable[[np.ndarray, float], np.ndarray]
-    tag: str
-
-    def __call__(self, x, beta):
-        if beta == 0:
-            return as_vector(x, "x").copy()
-        out = self.evaluator(np.asarray(x, dtype=float), float(beta))
-        if out.shape != np.shape(x):
-            raise ValidationError(f"{self.tag} prox changed dimension")
-        return out
-
-
-def l1_oracle(strength=1.0):
-    return ProxOracle(lambda x, b: prox_l1(x, strength * b), "l1")
-
-
-def lsp_oracle(theta):
-    return ProxOracle(lambda x, b: prox_lsp(x, theta, b), "lsp")
-
-
-def quadratic_oracle(problem):
-    return ProxOracle(lambda x, b: prox_quadratic(problem, x, b), "quadratic")
-
-
-def subspace_oracle(basis):
-    return ProxOracle(lambda x, b: project_subspace(basis, x), "subspace")
-
-
-def zero_oracle():
-    return ProxOracle(lambda x, b: np.asarray(x, dtype=float).copy(), "zero")

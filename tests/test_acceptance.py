@@ -29,7 +29,6 @@ from proxflow.experiments import (
     run_lsp,
     run_matfac,
     AxesSpec,
-    TraceSeries,
 )
 from proxflow.multistep import (
     MultistepConfig,
@@ -194,7 +193,7 @@ def test_criterion_5_exact_ppm_contraction():
     objective = quadratic_objective(problem)
     cfg = MultistepConfig(tau=1, xi=(1.0,), beta=1.0, inner_m=None)
     trace = run(objective, cfg, rng.standard_normal(5), 30)
-    errs = np.array(trace.iterate_error)
+    errs = np.array(trace.values("iterate_error"))
     ratios = errs[1:] / errs[:-1]
     worst = float(np.abs(ratios - 0.5).max())
     report(5, "exact single-step contraction 1/(1+beta mu) = 0.5", worst <= 1e-6,
@@ -217,7 +216,7 @@ def test_criterion_6_strongly_convex_bounds():
         beta = max((eta - 1.0) / mu, 1e-3) * float(rng.uniform(1.0, 2.0))
         cfg = MultistepConfig(tau=tau, xi=xi, beta=beta, inner_m=None, warmup="repeat")
         trace = run(objective, cfg, rng.standard_normal(n), 16)
-        errs = np.array(trace.iterate_error)
+        errs = np.array(trace.values("iterate_error"))
         base = errs[:tau].max()
         factor = eta / (1.0 + beta * mu)
         for k in range(tau, len(errs)):
@@ -239,7 +238,7 @@ def test_criterion_6_strongly_convex_bounds():
             tau=2, xi=xi, beta=beta, inner_m=m, warmup="repeat", inner_start="mixed"
         )
         trace = run(objective, cfg, rng.standard_normal(4), 20)
-        errs = np.array(trace.iterate_error)
+        errs = np.array(trace.values("iterate_error"))
         base = errs[:2].max()
         factor = gamma + (1 + gamma) * eta / (1 + beta * mu)
         for k in range(1, len(errs)):
@@ -362,20 +361,24 @@ def test_criterion_11a_experiments_complete(tmp_path):
     l1_problem = gen_sensing(50, 100, "uniform", 7)
     l1_result = run_l1(l1_problem, 0.01, [1, 2, 3], 1.0, 4, 600, stop_tol=1e-8)
     for tau, tr in l1_result.traces.items():
-        series.append(TraceSeries.from_run_trace(tr, "l1", 7, tau, l1_result.f_star))
+        tr.experiment, tr.seed = "l1", 7
+        series.append(tr)
 
     lsp_problem = gen_sensing(20, 50, "uniform", 7)
     lsp_result = run_lsp(lsp_problem, 5.0, [1, 2, 3], 1.0, 4, 600, stop_tol=1e-8)
     for tau, tr in lsp_result.traces.items():
-        series.append(TraceSeries.from_run_trace(tr, "lsp", 7, tau))
+        tr.experiment, tr.seed = "lsp", 7
+        series.append(tr)
 
     pair = gen_subspaces(500, 400, 0.5, 7)
     for tau, tr in run_altproj(pair, [1, 2, 3], 150).items():
-        series.append(TraceSeries.from_altproj_trace(tr, "altproj", 7, tau))
+        tr.experiment, tr.seed = "altproj", 7
+        series.append(tr)
 
     problem = gen_matfac(100, 10, 0.1, 7)
     for tau, tr in run_matfac(problem, [1, 2, 3], 150).items():
-        series.append(TraceSeries.from_matfac_trace(tr, "matfac", 7, tau))
+        tr.experiment, tr.seed = "matfac", 7
+        series.append(tr)
 
     csv_path = tmp_path / "experiments.csv"
     svg_path = tmp_path / "experiments.svg"
@@ -405,7 +408,7 @@ def test_criterion_11b_bdf2_no_slower_than_bdf1():
     result = run_l1(problem, 0.01, [1, 2], 1.0, 4, 5000, stop_tol=1e-6)
     hits = {}
     for tau, trace in result.traces.items():
-        gaps = np.array(trace.objective) - result.f_star
+        gaps = np.array(trace.values("objective")) - result.f_star
         hit = next((k for k, g in zip(trace.ks, gaps) if g <= 1e-6), None)
         hits[tau] = hit
     ok = hits[1] is not None and hits[2] is not None and hits[2] <= hits[1]
@@ -432,7 +435,7 @@ def test_criterion_11c_matfac_instability():
 
         def step(x):
             factors = (x[: u0.size].reshape(u0.shape), x[u0.size :].reshape(v0.shape))
-            u, v = matfac_trace(problem, (1.0,), 1, factors0=factors).factors
+            u, v = matfac_trace(problem, (1.0,), 1, factors0=factors).state
             return np.concatenate([u.ravel(), v.ravel()])
 
         jac = np.empty((x0.size, x0.size))
@@ -445,7 +448,7 @@ def test_criterion_11c_matfac_instability():
         trace = run_matfac(problem, [4], 2000)[4]
         f_star = 0.5 * float(np.sum(s[rank:] ** 2))
         flags.append(trace.diverged)
-        gaps.append(abs(trace.objective[-1] - f_star) / f_star)
+        gaps.append(abs(trace.values("objective")[-1] - f_star) / f_star)
 
     mu = np.concatenate(mus)
     imag = float(np.abs(mu.imag).max())

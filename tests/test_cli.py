@@ -1,9 +1,18 @@
+import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from proxflow.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SNAPSHOT = ROOT / "perfbench" / "snapshot" / "snapshot.json"
 
 
 class TestTables:
@@ -90,6 +99,14 @@ class TestRun:
         assert code in (0, 3)
         assert (out / "matfac_traces.csv").exists()
 
+    def test_lsp_stationary_start_plots_on_linear_axis(self, tmp_path):
+        # seed 1: x0 = 0 is already stationary, so every epsilon_beta is 0
+        out = tmp_path / "lsp"
+        code = main(["run", "lsp", "--seed", "1", "--iters", "50", "--out", str(out)])
+        assert code == 0
+        ET.parse(out / "lsp.svg")
+        assert (out / "run.json").exists()
+
     def test_altproj_sigma_flag(self, tmp_path):
         out = tmp_path / "ap"
         code = main(
@@ -153,3 +170,44 @@ class TestFigure1:
         assert code == 0
         assert (out / "figure1_L2_m4.csv").exists()
         ET.parse(out / "figure1_L2_m4.svg")
+
+
+SEEDED = {
+    "run_l1": (["run", "l1"], "l1_traces.csv"),
+    "run_lsp": (["run", "lsp"], "lsp_traces.csv"),
+    "run_altproj": (["run", "altproj"], "altproj_traces.csv"),
+    "run_matfac": (["run", "matfac"], "matfac_traces.csv"),
+    "accel": (["accel"], "accel_traces.csv"),
+}
+
+
+def _trace_digest(path):
+    """sha256 of a trace CSV with the walltime_s column removed."""
+    h = hashlib.sha256()
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        header = next(rows)
+        drop = header.index("walltime_s")
+        for row in [header, *rows]:
+            del row[drop]
+            h.update((",".join(row) + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seed0_trace_bit_identical_to_snapshot(name, tmp_path):
+    # the benchmark snapshot's single-thread digests; OpenBLAS gives
+    # bit-different traces at other thread counts
+    args, trace_file = SEEDED[name]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PROXFLOW_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    subprocess.run(
+        [sys.executable, "-m", "proxflow.cli", *args, "--seed", "0",
+         "--out", str(tmp_path)],
+        env=env, check=True, capture_output=True, timeout=600,
+    )
+    snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    want = snapshot["seeded"]["1"][name]["0"]["digest"]
+    assert _trace_digest(tmp_path / trace_file) == want

@@ -5,7 +5,6 @@ import pytest
 
 from proxflow.experiments import (
     AxesSpec,
-    TraceSeries,
     emit_svg,
     gen_matfac,
     gen_sensing,
@@ -13,6 +12,7 @@ from proxflow.experiments import (
 )
 from proxflow.multistep import (
     MultistepConfig,
+    Trace,
     approx_prox,
     quadratic_objective,
     run,
@@ -101,7 +101,10 @@ def test_gen_matfac_rejects_bad_rank():
 
 def test_emit_svg_rejects_unplottable_metric(tmp_path):
     series = [
-        TraceSeries("x", 0, 1, {"objective": [(0, 0.0), (1, 0.0)]}, {0: 0.0, 1: 0.0})
+        Trace(
+            1, "x", 0, ks=[0, 1], metrics={"objective": [(0, 0.0), (1, 0.0)]},
+            walltime_s=[0.0, 0.0],
+        )
     ]
     with pytest.raises(ValidationError, match="plottable"):
         emit_svg(series, tmp_path / "x.svg", AxesSpec("t", "x", "y", "objective"))
@@ -131,4 +134,4 @@ def test_diverged_trace_ends_at_flag():
     trace = result.traces[1]
     assert trace.diverged
     assert trace.ks[-1] == trace.diverged_at - 1
-    assert np.all(np.isfinite(trace.objective))
+    assert np.all(np.isfinite(trace.values("objective")))

@@ -7,7 +7,6 @@ from proxflow.altproj_accel import prescribed_angle_pair, projection_spectrum
 from proxflow.experiments import (
     AxesSpec,
     SensingProblem,
-    TraceSeries,
     altproj_trace,
     emit_csv,
     emit_svg,
@@ -76,14 +75,14 @@ class TestRunL1:
         )
         result = run_l1(problem, 0.0, [1], beta=1e8, m=None, iterations=1, f_star=0.0)
         trace = result.traces[1]
-        assert trace.objective[-1] <= 1e-12
-        assert np.linalg.norm(trace.final() - b) <= 1e-6
+        assert trace.values("objective")[-1] <= 1e-12
+        assert np.linalg.norm(trace.iterates[-1] - b) <= 1e-6
 
     def test_uniform_seed7_both_orders_converge(self):
         problem = gen_sensing(50, 100, "uniform", 7)
         result = run_l1(problem, 0.01, [1, 2], 1.0, 4, 5000, stop_tol=1e-6)
         for tau, trace in result.traces.items():
-            gaps = np.array(trace.objective) - result.f_star
+            gaps = np.array(trace.values("objective")) - result.f_star
             assert gaps[-1] <= 1e-6, f"tau={tau} never reached the gap target"
             assert trace.ks[-1] <= 5000
 
@@ -92,7 +91,7 @@ class TestRunL1:
         result = run_l1(problem, 0.01, [1, 2], 1.0, 4, 5000, stop_tol=1e-6)
         hits = {}
         for tau, trace in result.traces.items():
-            gaps = np.array(trace.objective) - result.f_star
+            gaps = np.array(trace.values("objective")) - result.f_star
             hits[tau] = next(k for k, g in zip(trace.ks, gaps) if g <= 1e-6)
         assert hits[2] <= hits[1]
 
@@ -126,7 +125,7 @@ class TestRunLsp:
         problem = gen_sensing(20, 50, "uniform", 11)
         result = run_lsp(problem, 5.0, [2], 1.0, 4, 5000, stop_tol=1e-6, stat_every=1)
         trace = result.traces[2]
-        eps = [v for _, v in trace.stationarity]
+        eps = trace.values("epsilon_beta")
         assert eps[-1] <= 1e-6
         assert trace.ks[-1] <= 5000
         assert eps[0] > eps[-1]
@@ -175,27 +174,27 @@ class TestRunAltproj:
         x0 = np.zeros(6)
         x0[0] = 1.0
         trace = altproj_trace(pair, (1.0,), 20, x0=x0)
-        assert max(trace.residuals) <= 1e-12
+        assert max(trace.values("residual")) <= 1e-12
 
     def test_single_step_rate_is_top_eigenvalue(self):
         pair = prescribed_angle_pair([0.35, 0.8], ambient=8, seed=1)
         lam_max = projection_spectrum(pair).eigenvalues.max()
         trace = altproj_trace(pair, (1.0,), 200)
-        r = np.array(trace.residuals)
+        r = np.array(trace.values("residual"))
         measured = (r[180] / r[80]) ** (1.0 / 100.0)
         assert measured == pytest.approx(lam_max, rel=0.02)
 
     def test_single_step_monotone(self):
         pair = gen_subspaces(40, 10, 0.4, 2)
         trace = altproj_trace(pair, (1.0,), 150)
-        r = np.array(trace.residuals)
+        r = np.array(trace.values("residual"))
         assert np.all(r[1:] <= r[:-1] + 1e-12)
 
     def test_ill_conditioned_seed13_bdf2_faster(self):
         pair = gen_subspaces(60, 10, 0.3, 13)
         traces = run_altproj(pair, [1, 2], 1000)
         hits = {
-            tau: next(k for k, v in zip(tr.ks, tr.residuals) if v <= 1e-8)
+            tau: next(k for k, v in zip(tr.ks, tr.values("residual")) if v <= 1e-8)
             for tau, tr in traces.items()
         }
         assert hits[2] < hits[1]
@@ -209,8 +208,8 @@ class TestRunMatfac:
         problem = gen_matfac(12, 3, 0.5, 14)
         problem.r_matrix[:] = u @ v.T
         trace = matfac_trace(problem, (-1 / 3, 4 / 3), 25, factors0=(u, v))
-        assert max(trace.objective) <= 1e-10
-        u_end, v_end = trace.factors
+        assert max(trace.values("objective")) <= 1e-10
+        u_end, v_end = trace.state
         assert np.linalg.norm(u_end - u) <= 1e-10
         assert np.linalg.norm(v_end - v) <= 1e-10
 
@@ -220,7 +219,7 @@ class TestRunMatfac:
         rng = seeded_rng(5)
         u0 = rng.standard_normal((15, 4))
         v0 = rng.standard_normal((15, 4))
-        u1, v1 = trace.factors
+        u1, v1 = trace.state
         r = problem.r_matrix
         g_u = (u1 @ v0.T - r) @ v0 + (u1 - u0) / problem.alpha
         g_v = (v1 @ u1.T - r.T) @ u1 + (v1 - v0) / problem.alpha
@@ -232,17 +231,17 @@ class TestRunMatfac:
         problem = gen_matfac(100, 10, 0.1, 3)
         traces = run_matfac(problem, [1, 2], 40)
         for trace in traces.values():
-            assert trace.objective[-1] < trace.objective[0]
+            assert trace.values("objective")[-1] < trace.values("objective")[0]
 
 
 class TestSerialization:
     def _series(self):
         problem = gen_sensing(10, 20, "uniform", 6)
         result = run_l1(problem, 0.05, [1, 2], 1.0, 4, 12, f_star=0.0)
-        return [
-            TraceSeries.from_run_trace(tr, "l1", 6, tau, f_star=result.f_star)
-            for tau, tr in result.traces.items()
-        ]
+        series = list(result.traces.values())
+        for trace in series:
+            trace.experiment, trace.seed = "l1", 6
+        return series
 
     def test_csv_header_and_roundtrip(self, tmp_path):
         series = self._series()

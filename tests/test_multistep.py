@@ -10,7 +10,6 @@ from proxflow.multistep import (
     CompositeObjective,
     DegenerateParameterError,
     DivergenceError,
-    IterateHistory,
     MultistepConfig,
     UnsupportedOrderError,
     approx_prox,
@@ -56,9 +55,7 @@ class TestBdfCoefficients:
 class TestMix:
     def test_constant_history(self, rng):
         x = rng.standard_normal(4)
-        h = IterateHistory(3)
-        for _ in range(3):
-            h.push(x)
+        h = [x] * 3
         xi = bdf_coefficients(3)[0]
         assert np.allclose(mix(h, xi), x)
 
@@ -147,7 +144,7 @@ class TestRun:
         x0 = rng.standard_normal(3)
         trace = run(objective, MultistepConfig.bdf(1, 1.0), x0, 0)
         assert trace.ks == [0]
-        assert np.array_equal(trace.final(), x0)
+        assert np.array_equal(trace.iterates[-1], x0)
 
     def test_exact_ppm_halves_error(self, rng):
         # mu = L = 1 so every eigendirection contracts by exactly 1/2
@@ -155,7 +152,7 @@ class TestRun:
         objective = quadratic_objective(problem)
         cfg = MultistepConfig(tau=1, xi=(1.0,), beta=1.0, inner_m=None)
         trace = run(objective, cfg, rng.standard_normal(4), 30)
-        errs = np.array(trace.iterate_error)
+        errs = np.array(trace.values("iterate_error"))
         ratios = errs[1:] / errs[:-1]
         assert np.abs(ratios - 0.5).max() <= 1e-6
 
@@ -167,7 +164,7 @@ class TestRun:
         beta = 1.0  # >= (eta - 1) / mu = 2/3
         cfg = MultistepConfig.bdf(2, beta, inner_m=None, warmup="repeat")
         trace = run(objective, cfg, rng.standard_normal(4), 40)
-        errs = np.array(trace.iterate_error)
+        errs = np.array(trace.values("iterate_error"))
         base = errs[:2].max()
         factor = eta / (1.0 + beta * 1.0)
         for k in range(2, len(errs)):
@@ -187,7 +184,7 @@ class TestRun:
             f_star=0.0,
         )
         assert trace.ks[-1] < 500
-        assert trace.objective[-1] <= 1e-10
+        assert trace.values("objective")[-1] <= 1e-10
 
     def test_divergence_carries_partial_trace(self, rng):
         objective = quadratic_objective(QuadraticProblem.from_matrix(np.eye(2)))
@@ -211,7 +208,7 @@ class TestRun:
         objective = quadratic_objective(QuadraticProblem.from_matrix(np.eye(2)))
         trace = run(objective, MultistepConfig.bdf(2, 1.0), rng.standard_normal(2), 17)
         assert len(trace.ks) == 18
-        assert len(trace.objective) == 18
+        assert len(trace.metrics["objective"]) == 18
 
 
 class TestExactRateProperties:
@@ -232,7 +229,7 @@ class TestExactRateProperties:
                 tau=2, xi=xi, beta=beta, inner_m=None, warmup="repeat"
             )
             trace = run(objective, cfg, rng.standard_normal(n), 20)
-            errs = np.array(trace.iterate_error)
+            errs = np.array(trace.values("iterate_error"))
             base = errs[:2].max()
             factor = 1.0 / (1.0 + beta * mu)
             for k in range(2, len(errs)):
@@ -254,7 +251,7 @@ class TestExactRateProperties:
                     tau=tau, xi=xi, beta=beta, inner_m=None, warmup="repeat"
                 )
                 trace = run(objective, cfg, rng.standard_normal(n), 18)
-                errs = np.array(trace.iterate_error)
+                errs = np.array(trace.values("iterate_error"))
                 base = errs[:tau].max()
                 factor = eta / (1.0 + beta * mu)
                 for k in range(tau, len(errs)):
@@ -371,8 +368,8 @@ class TestWeaklyConvexBound:
         cfg = MultistepConfig.bdf(2, beta, inner_m=None, warmup="repeat")
         x0 = np.array([2.5])
         trace = run(objective, cfg, x0, 60, stat_every=1)
-        eps = dict(trace.stationarity)
-        f_tau = trace.objective[2]
+        eps = dict(trace.metrics["epsilon_beta"])
+        f_tau = trace.values("objective")[2]
         f_star = 0.0
         warm = sum(
             np.linalg.norm(trace.iterates[s + 1] - trace.iterates[s]) ** 2
@@ -411,7 +408,7 @@ class TestInexactRate:
                 inner_start="mixed",
             )
             trace = run(objective, cfg, rng.standard_normal(4), 24)
-            errs = np.array(trace.iterate_error)
+            errs = np.array(trace.values("iterate_error"))
             base = errs[:2].max()
             for k in range(1, len(errs)):
                 assert errs[k] <= factor ** math.ceil(k / 2) * base * (1 + 1e-9)
@@ -421,12 +418,6 @@ class TestConfigValidation:
     def test_xi_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             MultistepConfig(tau=2, xi=(0.5, 0.6), beta=1.0)
-
-    def test_history_dimension_guard(self):
-        h = IterateHistory(2)
-        h.push(np.zeros(3))
-        with pytest.raises(ValidationError):
-            h.push(np.zeros(4))
 
     def test_xi_bar_scaling_applies(self):
         cfg = MultistepConfig.bdf(2, 3.0, use_xi_bar_scaling=True)

@@ -6,15 +6,10 @@ from hypothesis import strategies as st
 from proxflow.numerics import ValidationError, seeded_rng
 from proxflow.prox_ops import (
     QuadraticProblem,
-    l1_oracle,
-    lsp_oracle,
     project_subspace,
     prox_l1,
     prox_lsp,
     prox_quadratic,
-    quadratic_oracle,
-    subspace_oracle,
-    zero_oracle,
 )
 
 from conftest import random_spd
@@ -203,31 +198,23 @@ class TestProjectSubspace:
 
 
 class TestProxOracles:
-    def oracles(self, rng):
-        q = QuadraticProblem.from_matrix(random_spd(rng, 6), rng.standard_normal(6))
-        basis = np.linalg.qr(rng.standard_normal((6, 3)))[0]
-        return [
-            (l1_oracle(0.7), lambda x: 0.7 * np.abs(x).sum()),
-            (lsp_oracle(1.2), lambda x: np.log1p(np.abs(x) / 1.2).sum()),
-            (quadratic_oracle(q), q.value),
-            (zero_oracle(), lambda x: 0.0),
-        ], subspace_oracle(basis)
-
-    def test_zero_weight_identity(self, rng):
-        oracles, sub = self.oracles(rng)
-        x = rng.standard_normal(6)
-        for oracle, _ in oracles:
-            assert np.array_equal(oracle(x, 0.0), x)
-        assert np.array_equal(sub(x, 0.0), x)
-
     def test_local_optimality_spot_check(self):
         rng = seeded_rng(3131)
-        oracles, _ = self.oracles(rng)
-        for oracle, h_value in oracles:
+        q = QuadraticProblem.from_matrix(random_spd(rng, 6), rng.standard_normal(6))
+        rng.standard_normal((6, 3))  # keeps the stream of the original draws
+        cases = [
+            (lambda x, b: prox_l1(x, 0.7 * b), lambda x: 0.7 * np.abs(x).sum()),
+            (
+                lambda x, b: prox_lsp(x, 1.2, b),
+                lambda x: np.log1p(np.abs(x) / 1.2).sum(),
+            ),
+            (lambda x, b: prox_quadratic(q, x, b), q.value),
+        ]
+        for prox, h_value in cases:
             for _ in range(200):
                 x = rng.standard_normal(6) * 2
                 beta = float(rng.uniform(0.05, 1.5))
-                out = oracle(x, beta)
+                out = prox(x, beta)
                 base = beta * h_value(out) + 0.5 * np.linalg.norm(out - x) ** 2
                 for _ in range(10):
                     cand = out + 0.05 * rng.standard_normal(6)
