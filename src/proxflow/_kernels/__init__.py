@@ -21,6 +21,7 @@ except ImportError:  # pragma: no cover
 
 _FORCED_FALLBACK = os.environ.get("PROXFLOW_FORCE_FALLBACK") == "1"
 
+MAX_DEGREE = _fallback.MAX_DEGREE
 poly_roots = _fallback.poly_roots
 
 

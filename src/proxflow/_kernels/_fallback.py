@@ -6,6 +6,7 @@ A batch is a (N, d) float array whose rows hold [q_0, ..., q_{d-1}].
 
 import numpy as np
 
+MAX_DEGREE = 16  # the native kernel compiles in the same limit
 _MAX_ITER = 120
 _TOL = 1e-13
 _CHUNK = 1 << 18
@@ -69,9 +70,15 @@ def poly_roots(coeffs):
 
 
 def max_root_modulus_batch(coeffs):
-    """Max root modulus per row of a (N, d) batch of monic polynomials."""
+    """Max root modulus per row of a (N, d) batch of monic polynomials.
+
+    Raises ValueError for a degree outside 1..``MAX_DEGREE``, as the
+    native kernel does.
+    """
     coeffs = np.ascontiguousarray(coeffs, dtype=float)
     n, d = coeffs.shape
+    if d < 1 or d > MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {d}")
     if d == 1:
         return np.abs(coeffs[:, 0])
     if d == 2:

@@ -51,7 +51,7 @@ class Tolerances:
     companion_discrepancy: float = 1e-9
     divergence_norm: float = 1e12
     max_eigen_dim: int = 2000
-    max_poly_degree: int = 16
+    max_poly_degree: int = _kernels.MAX_DEGREE
 
 
 TOL = Tolerances()

@@ -28,6 +28,8 @@ from .prox_ops import QuadraticProblem
 
 _LAMBDA_GRID_POINTS = 512
 _ALPHA_GRID_POINTS = 2048
+_COARSE_STRIDE = 32
+_PLATEAU_TOL = 1e-12
 _BISECTION_STEPS = 60
 
 
@@ -53,34 +55,50 @@ class CompanionSpec:
             raise ValidationError("alpha and beta must be > 0")
         if self.m < 1:
             raise ValidationError(f"m must be >= 1, got {self.m}")
+        if self.tau > TOL.max_poly_degree:
+            raise ValidationError(f"tau must be <= {TOL.max_poly_degree}, got {self.tau}")
 
-    def with_alpha(self, alpha):
-        return CompanionSpec(self.tau, self.xi, alpha, self.beta, self.m)
 
+def _coeff_rows(alpha, lams, spec):
+    """Ascending monic coefficient rows of the characteristic polynomial.
 
-def _coeff_rows(lams, spec):
-    """Ascending monic coefficient rows of the characteristic polynomial."""
-    lams = np.asarray(lams, dtype=float)
-    a = 1.0 - spec.alpha / spec.beta - spec.alpha * lams
+    ``alpha`` is a float or a column of k alphas, shape (k, 1); the rows
+    run over every (alpha, lambda) pair, alpha-major. ``spec.alpha`` is
+    not read. A row's bits do not depend on the other alphas: every row is
+    built by the same elementwise operations.
+    """
+    ab = alpha / spec.beta
+    a = 1.0 - ab - alpha * lams
     am = a**spec.m
     one_minus_a = 1.0 - a
     series = np.where(
         np.abs(one_minus_a) > 1e-12, (1.0 - am) / np.where(one_minus_a == 0, 1.0, one_minus_a), float(spec.m)
     )
-    b = (spec.alpha / spec.beta) * series
-    rows = np.empty((lams.size, spec.tau))
+    b = ab * series
+    rows = np.empty(a.shape + (spec.tau,))
     for i in range(spec.tau - 1):
-        rows[:, i] = -b * spec.xi[i]
-    rows[:, spec.tau - 1] = -(am + b * spec.xi[spec.tau - 1])
-    return rows
+        rows[..., i] = -b * spec.xi[i]
+    rows[..., spec.tau - 1] = -(am + b * spec.xi[spec.tau - 1])
+    return rows.reshape(-1, spec.tau)
+
+
+def _worst_radius(alpha, lams, spec):
+    """Worst-case radius over ``lams``, in one kernel call.
+
+    A float for a scalar ``alpha``; for a column of k alphas (an ndarray
+    of shape (k, 1)), an array of k radii.
+    """
+    radii = _kernels.max_root_modulus_batch(_coeff_rows(alpha, lams, spec))
+    if isinstance(alpha, np.ndarray):
+        return radii.reshape(-1, lams.size).max(axis=1)
+    return float(radii.max())
 
 
 def scalar_radius(lam, spec):
     """Convergence radius of the recursion at a single eigenvalue of Q."""
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
-    rows = _coeff_rows(np.array([lam]), spec)
-    return float(_kernels.max_root_modulus_batch(rows)[0])
+    return _worst_radius(spec.alpha, np.array([lam]), spec)
 
 
 def _lambda_grid(mu, lmax):
@@ -94,32 +112,32 @@ def _lambda_grid(mu, lmax):
 
 def spectrum_radius(spec, mu, lmax):
     """Worst-case radius over eigenvalues in [mu, L] (512-point log grid)."""
-    lams = _lambda_grid(mu, lmax)
-    rows = _coeff_rows(lams, spec)
-    return float(_kernels.max_root_modulus_batch(rows).max())
+    return _worst_radius(spec.alpha, _lambda_grid(mu, lmax), spec)
 
 
 class StableAlpha(NamedTuple):
     alpha: float
     stable: bool
+    capped: bool = False
 
 
 def max_stable_alpha(mu, lmax, beta, m, tau, xi):
     """Largest inner step alpha keeping the worst-case radius below 1.
 
     Bisection over (0, 10 beta]; returns alpha = 0 with ``stable=False``
-    when no stable step size was found.
+    when no stable step size was found, and the cap 10 beta with
+    ``capped=True`` when the radius is below 1 there, so no bound was
+    found inside the search interval.
     """
     spec = CompanionSpec(tau, tuple(xi), beta, beta, m)  # alpha placeholder
     lams = _lambda_grid(mu, lmax)
 
     def radius(alpha):
-        rows = _coeff_rows(lams, spec.with_alpha(alpha))
-        return float(_kernels.max_root_modulus_batch(rows).max())
+        return _worst_radius(alpha, lams, spec)
 
     hi = 10.0 * beta
     if radius(hi) < 1.0:
-        return StableAlpha(hi, True)
+        return StableAlpha(hi, True, capped=True)
     lo = None
     probe = hi
     for _ in range(_BISECTION_STEPS):
@@ -143,11 +161,43 @@ class OptimalRate(NamedTuple):
     alpha: float
 
 
+def _lattice_argmin(alphas, lams, spec):
+    """First index of the smallest worst-case radius over ``alphas``, and that radius.
+
+    Stands in for ``np.argmin`` over a dense scan of every alpha. The
+    radius is taken on every ``_COARSE_STRIDE``-th alpha, then on every
+    alpha of the coarse cells on both sides of two kinds of coarse point:
+    those within ``_PLATEAU_TOL`` of the coarse minimum, which covers a
+    plateau where the radius is flat to the last bit, and every coarse
+    local minimum that a neighbour exceeds by more than ``_PLATEAU_TOL``,
+    because the radius can have two basins (a narrow spectrum gives two of
+    nearly equal depth). A basin narrower than a coarse cell is not seen.
+    """
+    coarse = np.arange(0, alphas.size, _COARSE_STRIDE)
+    worst = _worst_radius(alphas[coarse, None], lams, spec)
+    padded = np.pad(worst, 1, constant_values=np.inf)
+    low = np.minimum(padded[:-2], padded[2:])
+    high = np.maximum(padded[:-2], padded[2:])
+    bottom = worst <= worst.min() + _PLATEAU_TOL
+    basin = (worst <= low) & (worst + _PLATEAU_TOL < high)
+    fine = np.zeros(alphas.size, dtype=bool)
+    for c in coarse[bottom | basin]:
+        fine[max(c - _COARSE_STRIDE, 0) : c + _COARSE_STRIDE + 1] = True
+    index = np.flatnonzero(fine)
+    worst = _worst_radius(alphas[index, None], lams, spec)
+    best = int(np.argmin(worst))
+    return int(index[best]), float(worst[best])
+
+
 def optimal_rate(mu, lmax, beta, m, tau, xi):
     """Smallest worst-case radius over alpha, and the minimizing alpha.
 
-    A 2048-point grid over (0, max stable alpha] locates the basin; a
-    golden-section pass refines within the best grid cell (the radius is
+    The basin is located on the 2048-point lattice
+    ``linspace(alpha*/2048, alpha*, 2048)`` over (0, alpha*], alpha* the
+    max stable alpha, scanned coarse-to-fine by ``_lattice_argmin`` (64
+    coarse points, then the 32-point cells around each coarse basin and
+    across a plateau at the bottom). A golden-section pass then refines
+    between the lattice neighbours of the best point (the radius is
     piecewise smooth in alpha, with kinks where the maximizing root
     switches).
     """
@@ -160,24 +210,11 @@ def optimal_rate(mu, lmax, beta, m, tau, xi):
     spec = CompanionSpec(tau, tuple(xi), bound.alpha, beta, m)
     lams = _lambda_grid(mu, lmax)
     alphas = np.linspace(bound.alpha / _ALPHA_GRID_POINTS, bound.alpha, _ALPHA_GRID_POINTS)
-
-    # one batched kernel call over the full (alpha, lambda) grid
-    rows = np.empty((alphas.size * lams.size, tau))
-    for i, alpha in enumerate(alphas):
-        rows[i * lams.size : (i + 1) * lams.size] = _coeff_rows(
-            lams, spec.with_alpha(alpha)
-        )
-    radii = _kernels.max_root_modulus_batch(rows).reshape(alphas.size, lams.size)
-    worst = radii.max(axis=1)
-    best = int(np.argmin(worst))
-    best_alpha, best_rho = float(alphas[best]), float(worst[best])
+    best, best_rho = _lattice_argmin(alphas, lams, spec)
+    best_alpha = float(alphas[best])
 
     def radius(alpha):
-        return float(
-            _kernels.max_root_modulus_batch(
-                _coeff_rows(lams, spec.with_alpha(alpha))
-            ).max()
-        )
+        return _worst_radius(alpha, lams, spec)
 
     lo = float(alphas[max(best - 1, 0)])
     hi = float(alphas[min(best + 1, alphas.size - 1)])

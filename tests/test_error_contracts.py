@@ -18,6 +18,7 @@ from proxflow.multistep import (
     run,
 )
 from proxflow.numerics import (
+    TOL,
     ValidationError,
     polynomial_max_root_modulus,
     solve_linear,
@@ -75,6 +76,12 @@ def test_run_rejects_unknown_stop_metric():
 def test_companion_spec_rejects_zero_m():
     with pytest.raises(ValidationError, match="m"):
         CompanionSpec(1, (1.0,), alpha=0.1, beta=1.0, m=0)
+
+
+def test_companion_spec_rejects_tau_above_kernel_degree():
+    tau = TOL.max_poly_degree + 1
+    with pytest.raises(ValidationError, match="tau"):
+        CompanionSpec(tau, (1.0 / tau,) * tau, alpha=0.1, beta=1.0, m=1)
 
 
 def test_lambda_grid_rejects_bad_range():

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from proxflow import _kernels
-from proxflow.numerics import seeded_rng
+from proxflow.numerics import TOL, seeded_rng
 
 needs_native = pytest.mark.skipif(
     not _kernels.HAVE_NATIVE, reason="native kernel not built"
 )
+BACKENDS = ["fallback", "native"] if _kernels.HAVE_NATIVE else ["fallback"]
 
 
 def random_batch(seed, n, degree, scale=1.5):
@@ -40,6 +41,13 @@ class TestFallback:
         assert np.array_equal(got, np.zeros(3))
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("degree", [0, TOL.max_poly_degree + 1])
+def test_degree_guard(backend, degree):
+    with pytest.raises(ValueError, match=f"degree must be in 1..{TOL.max_poly_degree}"):
+        _kernels.max_root_modulus_batch(np.zeros((1, degree)), backend=backend)
+
+
 @needs_native
 class TestNativeParity:
     def test_matches_fallback(self):
@@ -48,10 +56,6 @@ class TestNativeParity:
             fb = _kernels.max_root_modulus_batch(rows, backend="fallback")
             nat = _kernels.max_root_modulus_batch(rows, backend="native")
             assert np.abs(fb - nat).max() <= 1e-10
-
-    def test_degree_guard(self):
-        with pytest.raises(ValueError):
-            _kernels.max_root_modulus_batch(np.zeros((1, 17)), backend="native")
 
     def test_is_faster_on_large_batch(self):
         # smoke benchmark: the compiled kernel should not be slower

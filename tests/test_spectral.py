@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from proxflow.multistep import bdf_coefficients
 from proxflow.numerics import ValidationError, seeded_rng
 from proxflow.spectral import (
+    _ALPHA_GRID_POINTS,
     CompanionSpec,
+    _lambda_grid,
+    _lattice_argmin,
+    _worst_radius,
     beta_scan,
     companion_matrix,
     max_stable_alpha,
@@ -87,6 +93,29 @@ class TestMaxStableAlpha:
         got = max_stable_alpha(1.0, 10.0, 1.0, 4, 3, xi)
         assert got.alpha == pytest.approx(0.178, abs=0.02)
 
+    def test_cap_is_flagged(self):
+        # m = 1, tau = 1: the radius is max |1 - alpha lambda|, below 1 up to 2 / L
+        got = max_stable_alpha(1.0, 1.0, 0.01, 1, 1, (1.0,))
+        assert got == (10.0 * 0.01, True, True)
+        assert not max_stable_alpha(1.0, 2.0, 1.0, 4, 1, (1.0,)).capped
+
+    @given(
+        tau=st.integers(1, 4),
+        m=st.integers(1, 20),
+        beta=st.floats(0.1, 10.0),
+        lmax=st.floats(1.0, 10.0),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_stable_set_is_the_interval_below_the_bound(self, tau, m, beta, lmax):
+        # the bisection and the optimal_rate lattice both assume the stable
+        # alphas in (0, 10 beta] are exactly (0, alpha*]
+        xi = tuple(bdf_coefficients(tau)[0])
+        got = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
+        alphas = np.linspace(10.0 * beta / 64, 10.0 * beta, 64)
+        spec = CompanionSpec(tau, xi, beta, beta, m)
+        stable = _worst_radius(alphas[:, None], _lambda_grid(1.0, lmax), spec) < 1.0
+        assert np.array_equal(stable, alphas <= got.alpha)
+
     def test_boundary_is_sharp(self):
         got = max_stable_alpha(1.0, 2.0, 1.0, 4, 1, (1.0,))
         spec = CompanionSpec(1, (1.0,), alpha=got.alpha, beta=1.0, m=4)
@@ -119,10 +148,52 @@ class TestOptimalRate:
     def test_optimum_beats_neighbors(self):
         xi = tuple(bdf_coefficients(2)[0])
         got = optimal_rate(1.0, 2.0, 1.0, 4, 2, xi)
-        spec = CompanionSpec(2, xi, alpha=got.alpha, beta=1.0, m=4)
         for factor in (0.9, 1.1):
-            other = spectrum_radius(spec.with_alpha(got.alpha * factor), 1.0, 2.0)
+            spec = CompanionSpec(2, xi, alpha=got.alpha * factor, beta=1.0, m=4)
+            other = spectrum_radius(spec, 1.0, 2.0)
             assert got.rho <= other + 1e-9
+
+
+class TestAlphaLattice:
+    @given(
+        tau=st.sampled_from([1, 2]),
+        m=st.integers(1, 20),
+        beta=st.floats(0.1, 10.0),
+        lmax=st.floats(1.0, 10.0),
+    )
+    # a narrow spectrum gives two basins: of equal depth at L = mu (the
+    # first in lattice order wins), and at L = 1.0001 the deeper one is
+    # not where the coarse minimum is
+    @example(tau=2, m=2, beta=10.0, lmax=1.0)
+    @example(tau=2, m=16, beta=10.0, lmax=1.0001)
+    @settings(max_examples=20, deadline=None)
+    def test_scan_picks_the_dense_argmin(self, tau, m, beta, lmax):
+        # tau <= 2 radii are closed-form, so a value does not depend on its batch
+        xi = tuple(bdf_coefficients(tau)[0])
+        bound = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
+        assume(bound.stable)
+        spec = CompanionSpec(tau, xi, bound.alpha, beta, m)
+        lams = _lambda_grid(1.0, lmax)
+        n = _ALPHA_GRID_POINTS
+        alphas = np.linspace(bound.alpha / n, bound.alpha, n)
+        dense = _worst_radius(alphas[:, None], lams, spec)
+        best, rho = _lattice_argmin(alphas, lams, spec)
+        assert best == int(np.argmin(dense))
+        assert rho == dense[best]
+
+    @pytest.mark.parametrize(
+        "beta, rho, alpha",
+        [
+            (1.0, 0.49999999999999989, 0.42285156249999994),
+            (10.0, 0.090909090909090898, 0.78543526785714279),
+        ],
+    )
+    def test_plateau_cells_keep_the_first_lattice_minimum(self, beta, rho, alpha):
+        # PPM m = 20, L = 2: the radius is flat to the last bit over a range
+        # of alpha, and the first lattice point with the least rounding
+        # noise is the reported alpha
+        got = optimal_rate(1.0, 2.0, beta, 20, 1, (1.0,))
+        assert got == (rho, alpha)
 
 
 class TestBetaScan:
