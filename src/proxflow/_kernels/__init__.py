@@ -1,11 +1,9 @@
 """Root-modulus kernels with a compiled core and a numpy fallback.
 
 The native Cython extension is preferred when it was built; the numpy
-fallback implements the same contract. ``PROXFLOW_FORCE_FALLBACK=1``
-forces the fallback (used by the benchmark and parity tests).
+fallback implements the same contract. A caller picks a backend per call
+with ``backend=``.
 """
-
-import os
 
 import numpy as np
 
@@ -19,14 +17,12 @@ except ImportError:  # pragma: no cover
     _native = None
     HAVE_NATIVE = False
 
-_FORCED_FALLBACK = os.environ.get("PROXFLOW_FORCE_FALLBACK") == "1"
-
 MAX_DEGREE = _fallback.MAX_DEGREE
 poly_roots = _fallback.poly_roots
 
 
 def backend_name():
-    return "native" if (HAVE_NATIVE and not _FORCED_FALLBACK) else "fallback"
+    return "native" if HAVE_NATIVE else "fallback"
 
 
 def max_root_modulus_batch(coeffs, backend=None):

@@ -11,7 +11,8 @@ Subcommands:
 - ``accel``: tuned two-step coefficients with predicted and fitted rates.
 
 Every flag has a config-file equivalent (a flat JSON object); explicit
-flags win. ``PROXFLOW_SEED`` provides the default seed. Exit codes:
+flags win over it, and ``DEFAULTS`` fills in what neither sets.
+``PROXFLOW_SEED`` provides the default seed. Exit codes:
 0 success, 2 usage error, 3 numeric divergence (outputs still written),
 4 tolerance failure in ``tables``.
 """
@@ -22,6 +23,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .experiments import (
     altproj_trace,
     emit_csv,
     emit_svg,
+    emit_table,
     gen_matfac,
     gen_sensing,
     gen_subspaces,
@@ -104,10 +107,6 @@ def _method_xi(method):
     return tuple(bdf_coefficients(METHOD_TAU[method])[0])
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 def _oracle_check(method, beta, m, alpha, mu, lmax):
     """Companion-simulation oracle for an out-of-tolerance table row."""
     tau = METHOD_TAU[method]
@@ -124,95 +123,90 @@ def _oracle_check(method, beta, m, alpha, mu, lmax):
     return check.discrepancy / max(1.0, check.max_norm)
 
 
-def _table2_rows(only, jobs):
-    cells = []
-    for (method, beta), per_l in TABLE2_REFERENCE.items():
-        if only and method != only:
-            continue
-        for lmax, reference in per_l.items():
-            cells.append((method, beta, lmax, reference))
+def _stable_alpha(method, m, beta, lmax):
+    bound = max_stable_alpha(1.0, lmax, beta, m, METHOD_TAU[method], _method_xi(method))
+    return {"computed_alpha": bound.alpha}
 
-    def work(cell):
-        method, beta, lmax, reference = cell
-        bound = max_stable_alpha(1.0, lmax, beta, 4, METHOD_TAU[method], _method_xi(method))
-        return cell, bound.alpha
 
-    results = _parallel(work, cells, jobs)
+def _optimal_rate(method, m, beta, lmax):
+    best = optimal_rate(1.0, lmax, beta, m, METHOD_TAU[method], _method_xi(method))
+    return {"computed_rho": best.rho, "computed_alpha": best.alpha}
+
+
+class TableSpec(NamedTuple):
+    """How one stability table is computed and laid out.
+
+    ``cell`` maps a key of the table's reference dict to (method, m,
+    beta); ``solve(method, m, beta, L)`` returns the computed columns, of
+    which ``computed_<checked>`` is compared with the reference value;
+    ``tight(method, m, beta, L)`` picks the cells held to
+    ``PPM_TOLERANCE`` with no oracle escape (every other cell gets
+    ``BDF_TOLERANCE`` and the companion-simulation oracle, since the
+    multistep reference values carry a known scaling ambiguity).
+    """
+
+    cell: Callable
+    solve: Callable
+    checked: str
+    tight: Callable
+    columns: tuple
+
+
+_VERDICT = ("abs_diff", "tolerance", "within_tolerance", "oracle_discrepancy", "row_pass")
+
+TABLE2 = TableSpec(
+    cell=lambda method, beta: (method, 4, beta),
+    solve=_stable_alpha,
+    checked="alpha",
+    tight=lambda method, m, beta, lmax: method == "ppm",
+    columns=("method", "beta", "L", "mu", "m", "computed_alpha", "reference_alpha", *_VERDICT),
+)
+
+TABLE3 = TableSpec(
+    cell=lambda method, m, beta: (method, m, beta),
+    solve=_optimal_rate,
+    checked="rho",
+    tight=lambda *cell: cell in TABLE3_TIGHT_CELLS,
+    columns=(
+        "method", "m", "beta", "L", "mu", "computed_rho", "computed_alpha", "reference_rho",
+        *_VERDICT,
+    ),
+)
+
+
+def _table_rows(spec, reference, only, jobs):
+    cells = [
+        (*spec.cell(*key), lmax, ref)
+        for key, per_l in reference.items()
+        if not only or key[0] == only
+        for lmax, ref in per_l.items()
+    ]
+    results = _parallel(lambda cell: spec.solve(*cell[:4]), cells, jobs)
     rows = []
-    for (method, beta, lmax, reference), alpha in results:
-        tol = PPM_TOLERANCE if method == "ppm" else BDF_TOLERANCE
-        diff = abs(alpha - reference)
-        within = diff <= tol
-        oracle = ""
-        passed = within
-        # the simulation-oracle escape covers only the multistep rows,
-        # whose reference values carry a known scaling ambiguity
-        if not within and method != "ppm":
-            disc = _oracle_check(method, beta, 4, alpha, 1.0, lmax)
-            oracle = _fmt(disc)
-            passed = disc <= 1e-9
-        rows.append(
-            {
-                "method": method,
-                "beta": beta,
-                "L": lmax,
-                "mu": 1.0,
-                "m": 4,
-                "computed_alpha": alpha,
-                "reference_alpha": reference,
-                "abs_diff": diff,
-                "tolerance": tol,
-                "within_tolerance": int(within),
-                "oracle_discrepancy": oracle,
-                "row_pass": int(passed),
-            }
-        )
-    return rows
-
-
-def _table3_rows(only, jobs):
-    cells = []
-    for (method, m, beta), per_l in TABLE3_REFERENCE.items():
-        if only and method != only:
-            continue
-        for lmax, reference in per_l.items():
-            cells.append((method, m, beta, lmax, reference))
-
-    def work(cell):
-        method, m, beta, lmax, reference = cell
-        best = optimal_rate(1.0, lmax, beta, m, METHOD_TAU[method], _method_xi(method))
-        return cell, best
-
-    results = _parallel(work, cells, jobs)
-    rows = []
-    for (method, m, beta, lmax, reference), best in results:
-        tight = (method, m, beta, lmax) in TABLE3_TIGHT_CELLS
+    for (method, m, beta, lmax, ref), computed in zip(cells, results):
+        tight = spec.tight(method, m, beta, lmax)
         tol = PPM_TOLERANCE if tight else BDF_TOLERANCE
-        diff = abs(best.rho - reference)
+        diff = abs(computed["computed_" + spec.checked] - ref)
         within = diff <= tol
-        oracle = ""
-        passed = within
+        oracle, passed = "", within
         if not within and not tight:
-            disc = _oracle_check(method, beta, m, best.alpha, 1.0, lmax)
-            oracle = _fmt(disc)
-            passed = disc <= 1e-9
-        rows.append(
-            {
-                "method": method,
-                "m": m,
-                "beta": beta,
-                "L": lmax,
-                "mu": 1.0,
-                "computed_rho": best.rho,
-                "computed_alpha": best.alpha,
-                "reference_rho": reference,
-                "abs_diff": diff,
-                "tolerance": tol,
-                "within_tolerance": int(within),
-                "oracle_discrepancy": oracle,
-                "row_pass": int(passed),
-            }
-        )
+            oracle = _oracle_check(method, beta, m, computed["computed_alpha"], 1.0, lmax)
+            passed = oracle <= 1e-9
+        row = {
+            "method": method,
+            "m": m,
+            "beta": beta,
+            "L": lmax,
+            "mu": 1.0,
+            **computed,
+            "reference_" + spec.checked: ref,
+            "abs_diff": diff,
+            "tolerance": tol,
+            "within_tolerance": int(within),
+            "oracle_discrepancy": oracle,
+            "row_pass": int(passed),
+        }
+        rows.append({key: row[key] for key in spec.columns})
     return rows
 
 
@@ -223,27 +217,13 @@ def _parallel(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _write_table(rows, path):
-    if not rows:
-        return
-    keys = list(rows[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            out = []
-            for key in keys:
-                v = row[key]
-                out.append(_fmt(v) if isinstance(v, float) else str(v))
-            fh.write(",".join(out) + "\n")
-
-
 def cmd_tables(args):
     out = Path(args.out)
-    rows2 = _table2_rows(args.only, args.jobs)
-    rows3 = _table3_rows(args.only, args.jobs)
+    rows2 = _table_rows(TABLE2, TABLE2_REFERENCE, args.only, args.jobs)
+    rows3 = _table_rows(TABLE3, TABLE3_REFERENCE, args.only, args.jobs)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(rows2, out / "table2.csv")
-    _write_table(rows3, out / "table3.csv")
+    emit_table(rows2, out / "table2.csv")
+    emit_table(rows3, out / "table3.csv")
     _write_metadata(out, "tables", args, {"rows_table2": len(rows2), "rows_table3": len(rows3)})
     failed = [r for r in rows2 + rows3 if not r["row_pass"]]
     for r in failed:
@@ -255,32 +235,30 @@ def cmd_tables(args):
 def cmd_figure1(args):
     out = Path(args.out)
     betas = np.geomspace(args.beta_min, args.beta_max, args.beta_points)
-    taus = args.tau or [1, 2, 3]
-    m_list = args.m_list or [1, 4, 20]
-    l_list = args.l_list or [2.0, 10.0]
-    alpha = 1.0 if args.alpha is None else args.alpha
-    panels = [(lmax, m) for lmax in l_list for m in m_list]
+    panels = [(lmax, m) for lmax in args.l_list for m in args.m_list]
 
     def work(panel):
         lmax, m = panel
-        return panel, beta_scan(1.0, lmax, [m], alpha, taus, betas)
+        return panel, beta_scan(1.0, lmax, [m], args.alpha, args.tau, betas)
 
     results = _parallel(work, panels, args.jobs)
     out.mkdir(parents=True, exist_ok=True)
-    for (lmax, m), report in results:
+    for (lmax, m), rows in results:
         stem = f"figure1_L{lmax:g}_m{m}"
-        report.to_csv(out / f"{stem}.csv")
-        series = []
-        for tau in taus:
-            pts = [
-                (r.beta, r.radius) for r in report.rows if r.tau == tau and r.m == m
-            ]
-            series.append(Trace(tau, experiment="figure1", metrics={"radius": pts}))
+        emit_table(rows, out / f"{stem}.csv")
+        series = [
+            Trace(
+                tau,
+                experiment="figure1",
+                metrics={"radius": [(r["beta"], r["radius"]) for r in rows if r["tau"] == tau]},
+            )
+            for tau in args.tau
+        ]
         emit_svg(
             series,
             out / f"{stem}.svg",
             AxesSpec(
-                title=f"radius vs beta (L={lmax:g}, m={m}, alpha={alpha:g})",
+                title=f"radius vs beta (L={lmax:g}, m={m}, alpha={args.alpha:g})",
                 xlabel="beta",
                 ylabel="radius",
                 metric="radius",
@@ -295,57 +273,40 @@ def cmd_figure1(args):
 
 def cmd_run(args):
     out = Path(args.out)
-    seed = args.seed
-    taus = args.tau or [1, 2, 3]
-    iters = args.iters
     extra = {}
 
     if args.experiment == "l1":
-        lam = 0.01 if args.lam is None else args.lam
-        beta = 1.0 if args.beta is None else args.beta
-        m = 4 if args.m is None else args.m
-        iters = 2000 if iters is None else iters
-        problem = gen_sensing(args.p or 50, args.q or 100, args.spectrum, seed)
+        problem = gen_sensing(args.p, args.q, args.spectrum, args.seed)
         result = run_l1(
-            problem, lam, taus, beta, m, iters, stop_tol=args.tol,
-            inner_alpha=args.alpha,
+            problem, args.lam, args.tau, args.beta, args.m, args.iters,
+            stop_tol=args.tol, inner_alpha=args.alpha,
         )
         extra["f_star"] = result.f_star
         traces = result.traces
         axes = AxesSpec("l1 objective gap", "iteration", "F - F*", "objective_gap")
     elif args.experiment == "lsp":
-        theta = 5.0 if args.theta is None else args.theta
-        beta = 1.0 if args.beta is None else args.beta
-        m = 4 if args.m is None else args.m
-        iters = 2000 if iters is None else iters
-        problem = gen_sensing(args.p or 20, args.q or 50, args.spectrum, seed)
-        result = run_lsp(
-            problem, theta, taus, beta, m, iters, stop_tol=args.tol,
-            inner_alpha=args.alpha,
-        )
-        traces = result.traces
+        problem = gen_sensing(args.p, args.q, args.spectrum, args.seed)
+        traces = run_lsp(
+            problem, args.theta, args.tau, args.beta, args.m, args.iters,
+            stop_tol=args.tol, inner_alpha=args.alpha,
+        ).traces
         axes = AxesSpec(
             "lsp stationarity", "iteration", "epsilon_beta", "epsilon_beta"
         )
     elif args.experiment == "altproj":
-        sigma = 0.5 if args.sigma is None else args.sigma
-        iters = 300 if iters is None else iters
-        pair = gen_subspaces(args.n or 500, args.d or 400, sigma, seed)
-        traces = run_altproj(pair, taus, iters)
+        pair = gen_subspaces(args.n, args.d, args.sigma, args.seed)
+        traces = run_altproj(pair, args.tau, args.iters)
         axes = AxesSpec("alternating projections", "iteration", "residual", "residual")
     elif args.experiment == "matfac":
-        alpha = 0.1 if args.alpha is None else args.alpha
-        rank = 10 if args.rank is None else args.rank
-        iters = 300 if iters is None else iters
-        problem = gen_matfac(args.n or 100, rank, alpha, seed)
-        traces = run_matfac(problem, taus, iters)
+        problem = gen_matfac(args.n, args.rank, args.alpha, args.seed)
+        traces = run_matfac(problem, args.tau, args.iters)
         axes = AxesSpec("matrix factorization", "iteration", "objective", "objective")
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.experiment)
 
     series = list(traces.values())
     for trace in series:
-        trace.experiment, trace.seed = args.experiment, seed
+        trace.experiment, trace.seed = args.experiment, args.seed
     # a metric with no positive value (lsp from an already stationary start
     # records epsilon_beta = 0 throughout) has nothing to show on a log axis
     if not any(v > 0 for s in series for _, v in s.metrics.get(axes.metric, ())):
@@ -356,7 +317,7 @@ def cmd_run(args):
     emit_svg(series, out / f"{args.experiment}.svg", axes)
     _write_metadata(out, f"run:{args.experiment}", args, extra)
     print(
-        f"{args.experiment}: {len(series)} traces, iterations={iters}, "
+        f"{args.experiment}: {len(series)} traces, iterations={args.iters}, "
         f"diverged={int(diverged)}"
     )
     return 3 if diverged else 0
@@ -364,23 +325,20 @@ def cmd_run(args):
 
 def cmd_accel(args):
     out = Path(args.out)
-    if args.angles:
-        angles = [float(v) for v in args.angles]
-        pair = prescribed_angle_pair(angles, seed=args.seed)
-        spectrum = projection_spectrum(pair)
-        rho = spectrum.rho
+    if args.angles is not None:
+        pair = prescribed_angle_pair(args.angles, seed=args.seed)
+        rho = projection_spectrum(pair).rho
         if rho is None:
             print("degenerate pair: all principal angles are zero", file=sys.stderr)
             return 2
     else:
-        rho = args.rho if args.rho is not None else 0.25
+        rho = args.rho
         if not 0.0 < rho < 1.0:
             print(f"rho must be in (0, 1), got {rho}", file=sys.stderr)
             return 2
         theta = float(np.arccos(np.sqrt(1.0 - rho)))
         pair = prescribed_angle_pair([theta, theta, theta], seed=args.seed)
 
-    iters = 400 if args.iters is None else args.iters
     xi1, xi2 = tuned_xi2(rho)
     rows = []
     for label, xi in (("single-step", (1.0,)), ("tuned-2step", (xi1, xi2))):
@@ -388,12 +346,12 @@ def cmd_accel(args):
             multistep_altproj_radius(lam, xi)
             for lam in projection_spectrum(pair).eigenvalues
         )
-        fit = verify_rate(pair, xi, iters)
+        fit = verify_rate(pair, xi, args.iters)
         rows.append(
             {
                 "scheme": label,
                 "tau": len(xi),
-                "xi": " ".join(_fmt(v) for v in xi),
+                "xi": " ".join(format(v, ".17g") for v in xi),
                 "rho": rho,
                 "predicted_rate": predicted,
                 "fitted_rate": fit.rate,
@@ -407,8 +365,8 @@ def cmd_accel(args):
             f"fitted={fit.rate:.6f}"
         )
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(rows, out / "accel.csv")
-    series = [altproj_trace(pair, xi, iters) for xi in ((1.0,), (xi1, xi2))]
+    emit_table(rows, out / "accel.csv")
+    series = [altproj_trace(pair, xi, args.iters) for xi in ((1.0,), (xi1, xi2))]
     for trace in series:
         trace.experiment, trace.seed = "altproj_accel", args.seed
     emit_csv(series, out / "accel_traces.csv")
@@ -436,12 +394,19 @@ def _write_metadata(out, command, args, extra):
         fh.write("\n")
 
 
+def _split_list(text, cast):
+    values = [cast(v) for v in text.split(",") if v != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
+
+
 def _int_list(text):
-    return [int(v) for v in text.split(",") if v != ""]
+    return _split_list(text, int)
 
 
 def _float_list(text):
-    return [float(v) for v in text.split(",") if v != ""]
+    return _split_list(text, float)
 
 
 def build_parser():
@@ -519,15 +484,32 @@ def build_parser():
     return parser
 
 
-# every option defaults to None at parse time so the precedence
-# flag > config file > builtin default is unambiguous
-_BUILTIN_DEFAULTS = {
-    "out": "out",
-    "jobs": 1,
-    "spectrum": "uniform",
-    "beta_min": 0.05,
-    "beta_max": 50.0,
-    "beta_points": 25,
+# Defaults per command, and per experiment for ``run``. Every option is
+# None at parse time, so the precedence flag > config file > this table is
+# unambiguous and ``run.json`` echoes each value a run used. Values computed
+# from the problem (the l1/lsp inner step size) stay None.
+_COMMON = {"out": "out", "jobs": 1}
+_RUN = {**_COMMON, "tau": (1, 2, 3), "spectrum": "uniform"}
+_SENSING = {**_RUN, "beta": 1.0, "m": 4, "iters": 2000}
+DEFAULTS = {
+    "tables": _COMMON,
+    "figure1": {
+        **_COMMON,
+        "tau": (1, 2, 3),
+        "m_list": (1, 4, 20),
+        "l_list": (2.0, 10.0),
+        "alpha": 1.0,
+        "beta_min": 0.05,
+        "beta_max": 50.0,
+        "beta_points": 25,
+    },
+    "run l1": {**_SENSING, "lam": 0.01, "p": 50, "q": 100},
+    "run lsp": {**_SENSING, "theta": 5.0, "p": 20, "q": 50},
+    "run altproj": {**_RUN, "sigma": 0.5, "iters": 300, "n": 500, "d": 400},
+    "run matfac": {**_RUN, "alpha": 0.1, "rank": 10, "iters": 300, "n": 100},
+    "accel": {**_COMMON, "rho": 0.25, "iters": 400},
+    # the angles determine rho
+    "accel --angles": {**_COMMON, "iters": 400},
 }
 
 
@@ -541,8 +523,14 @@ def _apply_config(args, parser):
             dest = key.replace("-", "_")
             if hasattr(args, dest) and getattr(args, dest) is None:
                 setattr(args, dest, value)
-    for dest, value in _BUILTIN_DEFAULTS.items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
+    if args.command == "run":
+        defaults = DEFAULTS[f"run {args.experiment}"]
+    elif args.command == "accel" and args.angles is not None:
+        defaults = DEFAULTS["accel --angles"]
+    else:
+        defaults = DEFAULTS[args.command]
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
             setattr(args, dest, value)
 
 

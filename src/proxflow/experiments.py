@@ -414,6 +414,21 @@ def emit_csv(traces, path):
                     )
 
 
+def emit_table(rows, path):
+    """Write dict rows as a CSV table under the first row's keys.
+
+    Floats get 17 significant digits, like ``emit_csv``; other values are
+    written as ``str`` gives them.
+    """
+    if not rows:
+        raise ValidationError("no rows to serialize")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow(_fmt(v) if isinstance(v, float) else v for v in row.values())
+
+
 def read_csv(path):
     """Parse a trace CSV back into row dicts (floats bit-exact)."""
     with open(path, newline="", encoding="utf-8") as fh:

@@ -15,14 +15,19 @@ Gelfand's formula asks of the lifted block matrix), taken in the worst
 case over the eigenvalues of Q.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .multistep import DivergenceError, MultistepConfig, quadratic_objective, run
+from .multistep import (
+    DivergenceError,
+    MultistepConfig,
+    bdf_coefficients,
+    quadratic_objective,
+    run,
+)
 from .numerics import TOL, ValidationError, as_vector, check_symmetric
 from .prox_ops import QuadraticProblem
 
@@ -238,63 +243,30 @@ def optimal_rate(mu, lmax, beta, m, tau, xi):
     return OptimalRate(best_rho, best_alpha)
 
 
-@dataclass
-class ReportRow:
-    tau: int
-    m: int
-    alpha: float
-    beta: float
-    lam_or_range: str
-    radius: float
+def beta_scan(mu, lmax, m_list, alpha, tau_list, betas):
+    """Radius curves over a beta grid per (tau, m) pair, with BDF weights.
 
-    @property
-    def stable(self):
-        return self.radius < 1.0
-
-
-@dataclass
-class StabilityReport:
-    """Radii over a parameter grid, serializable to CSV."""
-
-    rows: list
-
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["tau", "m", "alpha", "beta", "lambda_or_range", "radius", "stable"]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.tau,
-                        r.m,
-                        format(r.alpha, ".17g"),
-                        format(r.beta, ".17g"),
-                        r.lam_or_range,
-                        format(r.radius, ".17g"),
-                        int(r.stable),
-                    ]
-                )
-
-
-def beta_scan(mu, lmax, m_list, alpha, tau_list, betas, xi_for_tau=None):
-    """Radius curves over a beta grid per (tau, m) pair.
-
-    ``xi_for_tau`` maps tau to mixing weights; BDF weights by default.
+    One dict per grid point, keyed by the figure-1 CSV columns.
     """
-    from .multistep import bdf_coefficients
-
     rows = []
     span = f"[{mu:g},{lmax:g}]"
     for tau in tau_list:
-        xi = xi_for_tau[tau] if xi_for_tau else tuple(bdf_coefficients(tau)[0])
+        xi = tuple(bdf_coefficients(tau)[0])
         for m in m_list:
             for beta in betas:
-                spec = CompanionSpec(tau, xi, alpha, beta, m)
-                rho = spectrum_radius(spec, mu, lmax)
-                rows.append(ReportRow(tau, m, alpha, beta, span, rho))
-    return StabilityReport(rows)
+                rho = spectrum_radius(CompanionSpec(tau, xi, alpha, beta, m), mu, lmax)
+                rows.append(
+                    {
+                        "tau": tau,
+                        "m": m,
+                        "alpha": alpha,
+                        "beta": beta,
+                        "lambda_or_range": span,
+                        "radius": rho,
+                        "stable": int(rho < 1.0),
+                    }
+                )
+    return rows
 
 
 def companion_matrix(spec, q):

@@ -41,6 +41,16 @@ class TestTables:
         assert len(table3) == 1 + 24
         # every row passes outright or carries a logged oracle discrepancy
         assert all(line.endswith(",1") for line in table2[1:] + table3[1:])
+        # every computed value matches the benchmark snapshot (read only)
+        snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))["tables"]
+        for name in ("table2", "table3"):
+            with open(out / f"{name}.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == len(snapshot[name])
+            for row, want in zip(rows, snapshot[name]):
+                for key in ("computed_alpha", "computed_rho"):
+                    if key in want:
+                        assert float(row[key]) == pytest.approx(float(want[key]), abs=1e-9)
 
     def test_tolerance_failure_exits_4_with_outputs(self, tmp_path, monkeypatch):
         import proxflow.cli as cli
@@ -71,6 +81,46 @@ class TestRun:
         ET.parse(out / "l1.svg")
         meta = json.loads((out / "run.json").read_text())
         assert meta["config"]["seed"] == 7
+
+    def test_explicit_zero_dimension_is_rejected(self, tmp_path):
+        # an explicit 0 reaches the generator instead of the default 50
+        assert main(["run", "l1", "--p", "0", "--out", str(tmp_path)]) == 2
+
+    def test_empty_tau_list_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "altproj", "--tau", "", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, resolved",
+        [
+            (
+                ["l1", "--p", "10", "--q", "20", "--iters", "10"],
+                {"lam": 0.01, "beta": 1.0, "m": 4, "tau": [1, 2, 3],
+                 "spectrum": "uniform"},
+            ),
+            (
+                ["lsp", "--p", "10", "--q", "20", "--iters", "10"],
+                {"theta": 5.0, "beta": 1.0, "m": 4, "tau": [1, 2, 3]},
+            ),
+            (
+                ["altproj", "--iters", "10", "--n", "16", "--d", "4"],
+                {"sigma": 0.5, "tau": [1, 2, 3]},
+            ),
+            (
+                ["matfac", "--iters", "10", "--n", "20"],
+                {"alpha": 0.1, "rank": 10, "tau": [1, 2, 3]},
+            ),
+        ],
+        ids=["l1", "lsp", "altproj", "matfac"],
+    )
+    def test_run_json_echoes_resolved_defaults(self, tmp_path, argv, resolved):
+        out = tmp_path / "o"
+        assert main(["run", *argv, "--out", str(out)]) in (0, 3)
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert {k: config.get(k) for k in resolved} == resolved
+        # the inner step size is computed from the problem, so not echoed
+        assert argv[0] == "matfac" or "alpha" not in config
 
     def test_invalid_experiment_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from proxflow.experiments import emit_table
 from proxflow.multistep import bdf_coefficients
 from proxflow.numerics import ValidationError, seeded_rng
 from proxflow.spectral import (
@@ -199,29 +202,32 @@ class TestAlphaLattice:
 class TestBetaScan:
     def test_grid_point_matches_direct_evaluation(self):
         betas = [0.5, 1.0, 2.0]
-        report = beta_scan(1.0, 2.0, [4], 1.0, [1, 2], betas)
-        for row in report.rows:
-            xi = tuple(bdf_coefficients(row.tau)[0])
-            spec = CompanionSpec(row.tau, xi, row.alpha, row.beta, row.m)
-            assert row.radius == spectrum_radius(spec, 1.0, 2.0)
+        rows = beta_scan(1.0, 2.0, [4], 1.0, [1, 2], betas)
+        for row in rows:
+            xi = tuple(bdf_coefficients(row["tau"])[0])
+            spec = CompanionSpec(row["tau"], xi, row["alpha"], row["beta"], row["m"])
+            assert row["radius"] == spectrum_radius(spec, 1.0, 2.0)
 
     def test_large_beta_with_large_m_tends_to_zero(self):
         # spectrum kept inside the alpha = 1 stability region so the
         # curve can reach its exact-prox limit 1/(1 + beta mu)
-        report = beta_scan(0.5, 0.9, [200], 1.0, [1], [200.0])
-        assert report.rows[0].radius == pytest.approx(1.0 / 101.0, abs=5e-3)
+        rows = beta_scan(0.5, 0.9, [200], 1.0, [1], [200.0])
+        assert rows[0]["radius"] == pytest.approx(1.0 / 101.0, abs=5e-3)
 
     def test_unstable_small_beta_flagged(self):
-        report = beta_scan(1.0, 10.0, [4], 1.0, [3], [0.05])
-        assert not report.rows[0].stable
+        rows = beta_scan(1.0, 10.0, [4], 1.0, [3], [0.05])
+        assert not rows[0]["stable"]
 
     def test_csv_roundtrip(self, tmp_path):
-        report = beta_scan(1.0, 2.0, [4], 1.0, [1, 2, 3], [0.5, 5.0])
+        rows = beta_scan(1.0, 2.0, [4], 1.0, [1, 2, 3], [0.5, 5.0])
         path = tmp_path / "scan.csv"
-        report.to_csv(path)
+        emit_table(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "tau,m,alpha,beta,lambda_or_range,radius,stable"
-        assert len(lines) == 1 + len(report.rows)
+        assert len(lines) == 1 + len(rows)
+        parsed = list(csv.DictReader(lines))
+        assert [float(r["radius"]) for r in parsed] == [r["radius"] for r in rows]
+        assert {r["lambda_or_range"] for r in parsed} == {"[1,2]"}
 
 
 class TestCompanionConsistency:
