@@ -132,29 +132,31 @@ def max_stable_alpha(mu, lmax, beta, m, tau, xi):
     Bisection over (0, 10 beta]; returns alpha = 0 with ``stable=False``
     when no stable step size was found, and the cap 10 beta with
     ``capped=True`` when the radius is below 1 there, so no bound was
-    found inside the search interval.
+    found inside the search interval. Each probe asks whether every root
+    lies inside the unit circle with the Schur–Cohn test, which finds no
+    root.
     """
     spec = CompanionSpec(tau, tuple(xi), beta, beta, m)  # alpha placeholder
     lams = _lambda_grid(mu, lmax)
 
-    def radius(alpha):
-        return _worst_radius(alpha, lams, spec)
+    def stable(alpha):
+        return _kernels.schur_stable_batch(_coeff_rows(alpha, lams, spec)).all()
 
     hi = 10.0 * beta
-    if radius(hi) < 1.0:
+    if stable(hi):
         return StableAlpha(hi, True, capped=True)
     lo = None
     probe = hi
     for _ in range(_BISECTION_STEPS):
         probe /= 2.0
-        if radius(probe) < 1.0:
+        if stable(probe):
             lo = probe
             break
     if lo is None:
         return StableAlpha(0.0, False)
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if radius(mid) < 1.0:
+        if stable(mid):
             lo = mid
         else:
             hi = mid

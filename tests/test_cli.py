@@ -32,9 +32,17 @@ class TestTables:
         assert len(table3) == 1 + 8  # (m in {4,20}) x (beta in {1,10}) x L
         assert all(line.endswith(",1") for line in table2[1:])
 
-    def test_default_run_full_row_counts(self, tmp_path):
+    def test_default_run_full_row_counts(self, tmp_path, capsys):
         out = tmp_path / "full"
         assert main(["tables", "--out", str(out), "--jobs", "4"]) == 0
+        # 16 cells miss the paper's value and pass only through the oracle
+        assert capsys.readouterr().out == (
+            "table2: 12 rows, 11 reproduced, 1 oracle_escaped, "
+            "table3: 24 rows, 9 reproduced, 15 oracle_escaped, failures: 0\n"
+        )
+        meta = json.loads((out / "run.json").read_text())
+        assert [meta[f"{k}_{t}"] for t in ("table2", "table3") for k in
+                ("rows", "reproduced", "oracle_escaped")] == [12, 11, 1, 24, 9, 15]
         table2 = (out / "table2.csv").read_text().splitlines()
         table3 = (out / "table3.csv").read_text().splitlines()
         assert len(table2) == 1 + 12
@@ -184,6 +192,31 @@ class TestConfigPrecedence:
         meta = json.loads((out / "run.json").read_text())
         assert meta["config"]["iters"] == 15  # from config
         assert meta["config"]["seed"] == 3  # flag wins
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"iter": 5}, {"iters": "10x"}, {"iters": 2.5}, {"tau": ""}, {"spectrum": "bogus"}],
+        ids=["unknown-key", "bad-int", "float-for-int", "empty-list", "bad-choice"],
+    )
+    def test_config_errors_are_usage_errors(self, tmp_path, config):
+        # a key that names no option, or a value its option's flag would
+        # reject, exits 2 before anything runs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "altproj", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_config_keys_by_dest_or_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"lambda": 0.02, "tau": "1,2", "iters": 5, "p": 10, "q": 20})
+        )
+        out = tmp_path / "o"
+        assert main(["run", "l1", "--config", str(cfg), "--out", str(out)]) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert (config["lam"], config["tau"], config["iters"]) == (0.02, [1, 2], 5)
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROXFLOW_SEED", "41")

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,58 @@ class TestFallback:
 def test_degree_guard(backend, degree):
     with pytest.raises(ValueError, match=f"degree must be in 1..{TOL.max_poly_degree}"):
         _kernels.max_root_modulus_batch(np.zeros((1, degree)), backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_non_finite_rows_get_infinite_radius(backend):
+    rows = random_batch(5, 6, 3)
+    rows[1, 0], rows[3, 2], rows[4, 1] = np.nan, np.inf, -np.inf
+    got = _kernels.max_root_modulus_batch(rows, backend=backend)
+    finite = np.isfinite(rows).all(axis=1)
+    assert np.array_equal(got[~finite], np.full(3, np.inf))
+    assert np.array_equal(
+        got[finite], _kernels.max_root_modulus_batch(rows[finite], backend=backend)
+    )
+
+
+class TestSchurStable:
+    def test_agrees_with_root_modulus_away_from_the_circle(self):
+        for degree in range(1, 7):
+            rows = random_batch(degree + 40, 2000, degree, scale=1.2)
+            radii = _kernels.max_root_modulus_batch(rows)
+            clear = np.abs(radii - 1.0) > 1e-9
+            got = _kernels.schur_stable_batch(rows)
+            assert np.array_equal(got[clear], radii[clear] < 1.0)
+            # both outcomes are exercised at every degree
+            assert 0 < got[clear].sum() < clear.sum()
+
+    def test_exact_cases_are_not_stable(self):
+        rows = np.array(
+            [
+                [1.0, 0.0, 0.0],  # z^3 + 1: every root on the circle
+                [-0.5, 1.0, -0.5],  # (z^2 + 1)(z - 0.5): the second lead vanishes
+                [0.25, np.nan, 0.0],
+                [0.0, np.inf, 0.0],
+                [0.1, -0.2, 0.3],  # stable control, every root inside
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kernels.schur_stable_batch(rows)
+        assert got.tolist() == [False, False, False, False, True]
+
+    def test_roots_on_the_circle(self):
+        # z^2 + 1, z - 1 and z + 1 have their roots on the circle
+        assert not _kernels.schur_stable_batch(np.array([[1.0, 0.0]])).any()
+        assert not _kernels.schur_stable_batch(np.array([[-1.0], [1.0]])).any()
+
+    @pytest.mark.parametrize("degree", [0, TOL.max_poly_degree + 1])
+    def test_degree_guard_matches_root_modulus(self, degree):
+        rows = np.zeros((1, degree))
+        with pytest.raises(ValueError) as want:
+            _kernels.max_root_modulus_batch(rows)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            _kernels.schur_stable_batch(rows)
 
 
 @needs_native

@@ -73,12 +73,47 @@ class TestSpectrumRadius:
         spec = CompanionSpec(1, (1.0,), alpha=0.5, beta=1.0, m=4)
         assert spectrum_radius(spec, 1.0, 2.0) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_rows_give_infinite_radius(self):
+        # a^200 overflows on every row, which then holds NaN or inf (with
+        # overflow and invalid-value warnings from building the rows)
+        xi = tuple(bdf_coefficients(3)[0])
+        spec = CompanionSpec(3, xi, alpha=90.0, beta=10.0, m=200)
+        assert spectrum_radius(spec, 1.0, 2.0) == np.inf
+
     def test_monotone_in_spectrum_enlargement(self):
         xi = tuple(bdf_coefficients(3)[0])
         spec = CompanionSpec(3, xi, alpha=0.15, beta=1.0, m=4)
         inner = spectrum_radius(spec, 1.0, 2.0)
         outer = spectrum_radius(spec, 0.5, 3.0)
         assert outer >= inner - 1e-12
+
+
+def durand_kerner_stable_alpha(mu, lmax, beta, m, tau, xi):
+    """``max_stable_alpha``'s bisection with its former root-modulus predicate."""
+    spec = CompanionSpec(tau, xi, beta, beta, m)
+    lams = _lambda_grid(mu, lmax)
+
+    def stable(alpha):
+        return _worst_radius(alpha, lams, spec) < 1.0
+
+    hi = probe = 10.0 * beta
+    if stable(hi):
+        return hi
+    for _ in range(60):
+        probe /= 2.0
+        if stable(probe):
+            lo = probe
+            break
+    else:
+        return 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class TestMaxStableAlpha:
@@ -118,6 +153,28 @@ class TestMaxStableAlpha:
         spec = CompanionSpec(tau, xi, beta, beta, m)
         stable = _worst_radius(alphas[:, None], _lambda_grid(1.0, lmax), spec) < 1.0
         assert np.array_equal(stable, alphas <= got.alpha)
+
+    @given(
+        tau=st.integers(1, 4),
+        m=st.integers(1, 20),
+        beta=st.floats(0.1, 10.0),
+        lmax=st.floats(1.0, 10.0),
+    )
+    # the widest gap seen, 5 ulp: in high precision, the radius at every
+    # alpha of the gap is below 1 by 1e-16 to 4e-16, which neither
+    # predicate resolves in float64
+    @example(tau=3, m=1, beta=0.125, lmax=1.0)
+    @settings(max_examples=25, deadline=None)
+    def test_schur_cohn_bound_matches_root_modulus_bisection(self, tau, m, beta, lmax):
+        # the predicates can disagree only within rounding of the boundary,
+        # where the root-modulus radius itself can round to exactly 1
+        xi = tuple(bdf_coefficients(tau)[0])
+        got = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
+        want = durand_kerner_stable_alpha(1.0, lmax, beta, m, tau, xi)
+        assert abs(got.alpha - want) <= 8 * np.spacing(want)
+        if got.stable:
+            spec = CompanionSpec(tau, xi, got.alpha, beta, m)
+            assert spectrum_radius(spec, 1.0, lmax) <= 1.0 + 1e-12
 
     def test_boundary_is_sharp(self):
         got = max_stable_alpha(1.0, 2.0, 1.0, 4, 1, (1.0,))
