@@ -52,9 +52,7 @@ class ProjectionSpectrum:
 
 def projection_spectrum(pair):
     """Squared cosines of the principal angles between the pair's spans."""
-    b1 = orthonormal_basis(pair.c1)
-    b2 = orthonormal_basis(pair.c2)
-    sv = np.linalg.svd(b1.T @ b2, compute_uv=False)
+    sv = np.linalg.svd(pair.b1.T @ pair.b2, compute_uv=False)
     if sv.size and sv[0] > 1.0 + 1e-10:
         raise ValidationError(f"cosine {sv[0]} above 1 beyond tolerance")
     lams = np.clip(sv, 0.0, 1.0) ** 2

@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -215,6 +214,10 @@ def _table_rows(spec, reference, only, jobs):
 def _parallel(fn, items, jobs):
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: concurrent.futures also loads logging, which a serial
+    # run does not need
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

@@ -8,9 +8,9 @@ here: traces carry a flag and end early instead of raising.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from html import escape
 from typing import Optional
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .numerics import (
     orthonormal_basis,
     seeded_rng,
 )
-from .prox_ops import prox_l1, prox_lsp
+from .prox_ops import lsp_shrink, soft_threshold
 
 SPECTRUM_KINDS = ("uniform", "inverse_r", "exp_decay")
 
@@ -112,7 +112,7 @@ def lasso_objective(problem, lam):
     return CompositeObjective(
         value=value,
         grad_f=lambda x: a.T @ (a @ x - b),
-        prox_h=lambda v, t: prox_l1(v, t * lam) if lam > 0 else v,
+        prox_h=lambda v, t: soft_threshold(v, t * lam) if lam > 0 else v,
         smoothness=smoothness,
         convexity=0.0,
         exact_prox=exact,
@@ -133,7 +133,7 @@ def lsp_objective(problem, theta):
     return CompositeObjective(
         value=value,
         grad_f=lambda x: a.T @ (a @ x - b),
-        prox_h=lambda v, t: prox_lsp(v, theta, t),
+        prox_h=lambda v, t: lsp_shrink(v, theta, t),
         smoothness=smoothness,
         convexity=-1.0 / theta**2,
     )
@@ -228,13 +228,24 @@ def run_lsp(
 
 @dataclass
 class SubspacePair:
-    """Column-space generators of two subspaces; sigma is the coherence
-    parameter of the random construction (None for prescribed angles)."""
+    """Column-space generators of two subspaces and their orthonormal bases.
+
+    ``b1`` and ``b2`` are computed once, when the pair is built; a
+    rank-deficient generator raises RankError there. sigma is the
+    coherence parameter of the random construction (None for prescribed
+    angles).
+    """
 
     c1: np.ndarray
     c2: np.ndarray
     sigma: Optional[float]
     seed: Optional[int]
+    b1: np.ndarray = field(init=False, repr=False)
+    b2: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.b1 = orthonormal_basis(self.c1)
+        self.b2 = orthonormal_basis(self.c2)
 
 
 def gen_subspaces(n, d, sigma, seed, max_retries=3):
@@ -252,11 +263,9 @@ def gen_subspaces(n, d, sigma, seed, max_retries=3):
     for _ in range(max_retries + 1):
         rng = seeded_rng(attempt_seed)
         c1 = rng.standard_normal((n, d))
-        z = rng.standard_normal((n, d))
-        c2 = (1.0 - sigma) * c1 + sigma * z
+        # Z is a temporary, so it is freed before the pair's SVDs run
+        c2 = (1.0 - sigma) * c1 + sigma * rng.standard_normal((n, d))
         try:
-            orthonormal_basis(c1)
-            orthonormal_basis(c2)
             return SubspacePair(c1, c2, sigma, seed)
         except RankError:
             attempt_seed += 1000003
@@ -269,8 +278,7 @@ def altproj_trace(pair, xi, iterations, x0=None):
     The history starts filled with x0. The recorded metric "residual" is
     |(I - P1 P2) x^(k)| (P2 applied first).
     """
-    b1 = orthonormal_basis(pair.c1)
-    b2 = orthonormal_basis(pair.c2)
+    b1, b2 = pair.b1, pair.b2
     xi = tuple(float(v) for v in xi)
     if abs(sum(xi) - 1.0) > TOL.mixing_weight_sum:
         raise ValidationError(f"xi must sum to 1, got {sum(xi)!r}")
@@ -508,11 +516,11 @@ def emit_svg(traces, path, axes):
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333"/>',
         f'<text x="{left + plot_w / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-size="16">{escape(axes.title)}</text>',
+        f'font-size="16">{escape(axes.title, quote=False)}</text>',
         f'<text x="{left + plot_w / 2:.1f}" y="{height - 14}" '
-        f'text-anchor="middle">{escape(axes.xlabel)}</text>',
+        f'text-anchor="middle">{escape(axes.xlabel, quote=False)}</text>',
         f'<text x="20" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {top + plot_h / 2:.1f})">{escape(axes.ylabel)}</text>',
+        f'transform="rotate(-90 20 {top + plot_h / 2:.1f})">{escape(axes.ylabel, quote=False)}</text>',
     ]
 
     for i in range(5):
@@ -526,7 +534,7 @@ def emit_svg(traces, path, axes):
         )
         parts.append(
             f'<text x="{x_pix:.1f}" y="{top + plot_h + 20}" '
-            f'text-anchor="middle">{escape(label)}</text>'
+            f'text-anchor="middle">{escape(label, quote=False)}</text>'
         )
     for i in range(5):
         frac = i / 4
@@ -539,7 +547,7 @@ def emit_svg(traces, path, axes):
         )
         parts.append(
             f'<text x="{left - 9}" y="{y_pix + 4:.1f}" '
-            f'text-anchor="end">{escape(label)}</text>'
+            f'text-anchor="end">{escape(label, quote=False)}</text>'
         )
 
     for idx, (s, pts) in enumerate(curves):
@@ -557,7 +565,7 @@ def emit_svg(traces, path, axes):
             f'stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{left + plot_w + 42}" y="{legend_y + 4}">{escape(label)}</text>'
+            f'<text x="{left + plot_w + 42}" y="{legend_y + 4}">{escape(label, quote=False)}</text>'
         )
 
     parts.append("</svg>")

@@ -188,6 +188,8 @@ def approx_prox(objective, x_mix, start, beta, m, alpha):
 
     Each step is x <- prox_{alpha h}(x - alpha grad_f(x)
     - (alpha/beta)(x - x_mix)); m = 0 returns ``start`` unchanged.
+    ``start`` and ``x_mix`` are validated once per call; the steps check
+    only that each iterate stays finite.
     """
     if m < 0:
         raise ValidationError(f"m must be >= 0, got {m}")
@@ -200,7 +202,7 @@ def approx_prox(objective, x_mix, start, beta, m, alpha):
         for i in range(m):
             g = objective.grad_f(x)
             x = objective.prox_h(x - alpha * g - ratio * (x - x_mix), alpha)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise DivergenceError(
                     f"inner solver diverged at step {i + 1}", step=i + 1
                 )

@@ -19,6 +19,14 @@ from .numerics import (
 )
 
 
+def soft_threshold(v, t):
+    """``prox_l1`` without validation: ``v`` a float array, ``t >= 0``.
+
+    For inner loops whose caller has checked both once.
+    """
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
 def prox_l1(x, t):
     """Soft threshold: argmin_u t|u|_1 + (1/2)|u - x|^2, elementwise.
 
@@ -27,7 +35,26 @@ def prox_l1(x, t):
     v = as_vector(x, "x")
     if t < 0:
         raise ValidationError(f"threshold must be >= 0, got {t}")
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return soft_threshold(v, t)
+
+
+def lsp_shrink(v, theta, beta):
+    """``prox_lsp`` without validation: ``v`` a float array, ``theta > 0``
+    and ``beta >= 0``.
+
+    For inner loops whose caller has checked all three once.
+    """
+    a = np.abs(v)
+    disc = (a + theta) ** 2 - 4.0 * beta
+    has_root = disc >= 0.0
+    root = np.where(has_root, ((a - theta) + np.sqrt(np.maximum(disc, 0.0))) / 2.0, 0.0)
+    positive = has_root & (root > 0.0)
+
+    candidate = np.where(positive, root, 0.0)
+    obj_root = beta * np.log1p(candidate / theta) + 0.5 * (candidate - a) ** 2
+    obj_zero = 0.5 * a**2
+    take_root = positive & (obj_root < obj_zero)
+    return np.sign(v) * np.where(take_root, root, 0.0)
 
 
 def prox_lsp(x, theta, beta):
@@ -48,19 +75,7 @@ def prox_lsp(x, theta, beta):
         raise ValidationError(f"theta must be > 0, got {theta}")
     if beta < 0:
         raise ValidationError(f"beta must be >= 0, got {beta}")
-
-    a = np.abs(v)
-    disc = (a + theta) ** 2 - 4.0 * beta
-    has_root = disc >= 0.0
-    root = np.where(has_root, ((a - theta) + np.sqrt(np.maximum(disc, 0.0))) / 2.0, 0.0)
-    positive = has_root & (root > 0.0)
-
-    obj_root = beta * np.log1p(np.where(positive, root, 0.0) / theta) + 0.5 * (
-        np.where(positive, root, 0.0) - a
-    ) ** 2
-    obj_zero = 0.5 * a**2
-    take_root = positive & (obj_root < obj_zero)
-    return np.sign(v) * np.where(take_root, root, 0.0)
+    return lsp_shrink(v, theta, beta)
 
 
 @dataclass

@@ -70,20 +70,23 @@ def _coeff_rows(alpha, lams, spec):
     ``alpha`` is a float or a column of k alphas, shape (k, 1); the rows
     run over every (alpha, lambda) pair, alpha-major. ``spec.alpha`` is
     not read. A row's bits do not depend on the other alphas: every row is
-    built by the same elementwise operations.
+    built by the same elementwise operations. When ``a**m`` overflows the
+    row holds inf or NaN, without a warning; the root-modulus kernel gives
+    such a row the radius inf.
     """
-    ab = alpha / spec.beta
-    a = 1.0 - ab - alpha * lams
-    am = a**spec.m
-    one_minus_a = 1.0 - a
-    series = np.where(
-        np.abs(one_minus_a) > 1e-12, (1.0 - am) / np.where(one_minus_a == 0, 1.0, one_minus_a), float(spec.m)
-    )
-    b = ab * series
-    rows = np.empty(a.shape + (spec.tau,))
-    for i in range(spec.tau - 1):
-        rows[..., i] = -b * spec.xi[i]
-    rows[..., spec.tau - 1] = -(am + b * spec.xi[spec.tau - 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = alpha / spec.beta
+        a = 1.0 - ab - alpha * lams
+        am = a**spec.m
+        one_minus_a = 1.0 - a
+        series = np.where(
+            np.abs(one_minus_a) > 1e-12, (1.0 - am) / np.where(one_minus_a == 0, 1.0, one_minus_a), float(spec.m)
+        )
+        b = ab * series
+        rows = np.empty(a.shape + (spec.tau,))
+        for i in range(spec.tau - 1):
+            rows[..., i] = -b * spec.xi[i]
+        rows[..., spec.tau - 1] = -(am + b * spec.xi[spec.tau - 1])
     return rows.reshape(-1, spec.tau)
 
 

@@ -291,6 +291,19 @@ def test_criterion_8_delta_constants():
            f"(got {vals})")
 
 
+def _shrinkage_grid_argmin(objective, x, grid):
+    """``grid[np.argmin(objective(grid))]`` for a shrinkage objective.
+
+    Its minimiser lies between 0 and x, and the objective grows away from
+    that interval on both sides, so only the grid points inside it and one
+    neighbour on each side can hold the grid argmin.
+    """
+    lo = max(int(np.searchsorted(grid, min(0.0, x))) - 1, 0)
+    hi = int(np.searchsorted(grid, max(0.0, x), side="right")) + 1
+    candidates = grid[lo:hi]
+    return candidates[np.argmin(objective(candidates))]
+
+
 def test_criterion_9_prox_oracles():
     t0 = time.perf_counter()
     rng = seeded_rng(9)
@@ -301,7 +314,7 @@ def test_criterion_9_prox_oracles():
         span = 2 * abs(x) + 2
         grid = np.linspace(-span, span, grid_points)
         t = float(rng.uniform(0, 2))
-        best = grid[np.argmin(t * np.abs(grid) + 0.5 * (grid - x) ** 2)]
+        best = _shrinkage_grid_argmin(lambda u: t * np.abs(u) + 0.5 * (u - x) ** 2, x, grid)
         worst_l1 = max(worst_l1, abs(prox_l1(np.array([x]), t)[0] - best))
     for _ in range(500):
         x = float(rng.uniform(-4, 4))
@@ -309,8 +322,9 @@ def test_criterion_9_prox_oracles():
         grid = np.linspace(-span, span, grid_points)
         theta = float(rng.uniform(0.2, 3.0))
         beta = float(rng.uniform(0.0, 2.0))
-        obj = beta * np.log1p(np.abs(grid) / theta) + 0.5 * (grid - x) ** 2
-        best = grid[np.argmin(obj)]
+        best = _shrinkage_grid_argmin(
+            lambda u: beta * np.log1p(np.abs(u) / theta) + 0.5 * (u - x) ** 2, x, grid
+        )
         worst_lsp = max(worst_lsp, abs(prox_lsp(np.array([x]), theta, beta)[0] - best))
     elapsed = time.perf_counter() - t0
     report(

@@ -294,3 +294,21 @@ def test_seed0_trace_bit_identical_to_snapshot(name, tmp_path):
     snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
     want = snapshot["seeded"]["1"][name]["0"]["digest"]
     assert _trace_digest(tmp_path / trace_file) == want
+
+
+def test_import_loads_no_unneeded_modules():
+    # xml.sax pulls in urllib.request, http.client, ssl and email, and
+    # concurrent.futures loads logging; a run with --jobs 1 needs none of them
+    code = (
+        "import contextlib, io, json, sys\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    import proxflow.cli\n"
+        "heavy = ('xml.sax', 'urllib.request', 'concurrent.futures')\n"
+        "print(json.dumps([buf.getvalue(), [m for m in heavy if m in sys.modules]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    assert json.loads(proc.stdout) == ["", []]

@@ -1,8 +1,10 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
 
+from proxflow import experiments
 from proxflow.altproj_accel import prescribed_angle_pair, projection_spectrum
 from proxflow.experiments import (
     AxesSpec,
@@ -23,7 +25,7 @@ from proxflow.experiments import (
     run_matfac,
 )
 from proxflow.multistep import approx_prox, epsilon_stationarity, mix
-from proxflow.numerics import ValidationError, seeded_rng
+from proxflow.numerics import RankError, ValidationError, orthonormal_basis, seeded_rng
 
 
 class TestGenSensing:
@@ -166,6 +168,48 @@ class TestGenSubspaces:
         with pytest.raises(ValidationError):
             gen_subspaces(10, 3, 1.5, 0)
 
+    def test_pair_carries_its_bases(self):
+        pair = gen_subspaces(30, 6, 0.4, 2)
+        assert np.array_equal(pair.b1, orthonormal_basis(pair.c1))
+        assert np.array_equal(pair.b2, orthonormal_basis(pair.c2))
+        angled = prescribed_angle_pair([0.3, 0.7], ambient=6, seed=1)
+        assert np.array_equal(angled.b2, orthonormal_basis(angled.c2))
+
+    def test_rank_deficient_draw_is_redrawn(self, monkeypatch):
+        calls = []
+
+        def first_call_fails(c):
+            calls.append(c)
+            if len(calls) == 1:
+                raise RankError("numerical rank 5 < 6 columns")
+            return orthonormal_basis(c)
+
+        monkeypatch.setattr(experiments, "orthonormal_basis", first_call_fails)
+        pair = gen_subspaces(30, 6, 0.4, 2)
+        # the second draw uses the bumped seed and keeps the caller's seed
+        assert np.array_equal(pair.c1, seeded_rng(2 + 1000003).standard_normal((30, 6)))
+        assert pair.seed == 2
+        assert len(calls) == 3
+
+    def test_rank_deficient_generator_raises_when_built(self):
+        with pytest.raises(RankError):
+            experiments.SubspacePair(np.ones((5, 2)), np.eye(5)[:, :2], None, None)
+
+    def test_run_altproj_computes_each_basis_once(self, monkeypatch, tmp_path):
+        from proxflow import altproj_accel, cli, numerics
+
+        calls = []
+
+        def counted(c):
+            calls.append(np.shape(c))
+            return orthonormal_basis(c)
+
+        for module in (experiments, altproj_accel, numerics):
+            monkeypatch.setattr(module, "orthonormal_basis", counted)
+        args = ["run", "altproj", "--n", "40", "--d", "30", "--iters", "20"]
+        assert cli.main([*args, "--out", str(tmp_path)]) == 0
+        assert calls == [(40, 30), (40, 30)]
+
 
 class TestRunAltproj:
     def test_intersection_point_is_fixed(self):
@@ -273,6 +317,18 @@ class TestSerialization:
         assert "viewBox" in root.attrib
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == len(series)
+
+    def test_svg_escapes_text_as_before(self, tmp_path):
+        title = """a&b<c>d"e'f"""
+        path = tmp_path / "plot.svg"
+        emit_svg(self._series(), path, AxesSpec(title, "x<1", "y&z", "objective"))
+        text = path.read_text()
+        # & < > are escaped, quotes are kept, as xml.sax.saxutils.escape does
+        assert sax_escape(title) == """a&amp;b&lt;c&gt;d"e'f"""
+        assert f'font-size="16">{sax_escape(title)}</text>' in text
+        assert ">x&lt;1</text>" in text
+        assert ">y&amp;z</text>" in text
+        assert ET.parse(path).getroot().find(".//{*}text").text == title
 
     def test_diverged_flag_on_last_row_only(self, tmp_path):
         series = self._series()

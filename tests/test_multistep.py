@@ -121,6 +121,30 @@ class TestApproxProx:
             )
         assert err.value.step is not None
 
+    def test_divergence_step_is_the_first_non_finite_iterate(self):
+        # each step multiplies the start by about -3e6: 1e280 overflows at step 5
+        with pytest.raises(DivergenceError, match="diverged at step 5$") as err:
+            approx_prox(self.objective, np.ones(2), np.full(2, 1e280), 1.0, 10, 1e6)
+        assert err.value.step == 5
+
+    def test_lasso_blow_up_is_divergence(self):
+        # the l1 prox of an infinite entry is infinite, so the inner loop
+        # reports it at the step it happens
+        from proxflow.experiments import gen_sensing, lasso_objective
+
+        objective = lasso_objective(gen_sensing(10, 20, "uniform", 3), 0.1)
+        with pytest.raises(DivergenceError) as err:
+            approx_prox(objective, np.ones(20), np.full(20, 1e280), 1.0, 10, 1e6)
+        assert err.value.step == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_start_and_mixed_point(self, bad):
+        point = np.array([1.0, bad])
+        with pytest.raises(ValidationError, match="start"):
+            approx_prox(self.objective, np.ones(2), point, 1.0, 3, 0.3)
+        with pytest.raises(ValidationError, match="x_mix"):
+            approx_prox(self.objective, point, np.ones(2), 1.0, 3, 0.3)
+
 
 class TestGammaBound:
     def test_no_contraction_at_zero_steps(self):

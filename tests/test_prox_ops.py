@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from proxflow.numerics import ValidationError, seeded_rng
 from proxflow.prox_ops import (
     QuadraticProblem,
+    lsp_shrink,
     project_subspace,
     prox_l1,
     prox_lsp,
     prox_quadratic,
+    soft_threshold,
 )
 
 from conftest import random_spd
@@ -144,6 +146,72 @@ class TestProxLsp:
     def test_rejects_bad_theta(self):
         with pytest.raises(ValidationError):
             prox_lsp(np.ones(2), 0.0, 1.0)
+
+
+def former_prox_lsp_arithmetic(v, theta, beta):
+    """The log-sum prox as it was written before ``lsp_shrink``, with the
+    masked root computed twice; the reference for non-finite entries."""
+    a = np.abs(v)
+    disc = (a + theta) ** 2 - 4.0 * beta
+    has_root = disc >= 0.0
+    root = np.where(has_root, ((a - theta) + np.sqrt(np.maximum(disc, 0.0))) / 2.0, 0.0)
+    positive = has_root & (root > 0.0)
+    obj_root = beta * np.log1p(np.where(positive, root, 0.0) / theta) + 0.5 * (
+        np.where(positive, root, 0.0) - a
+    ) ** 2
+    take_root = positive & (obj_root < 0.5 * a**2)
+    return np.sign(v) * np.where(take_root, root, 0.0)
+
+
+def special_vector(r, size=64):
+    """Normal draws at mixed scales, with +-0, NaN and +-inf planted."""
+    v = r.standard_normal(size) * 10.0 ** r.integers(-3, 4, size)
+    v[:6] = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e200]
+    return r.permutation(v)
+
+
+class TestUncheckedShrinkage:
+    """``soft_threshold`` and ``lsp_shrink`` are the arithmetic of
+    ``prox_l1`` and ``prox_lsp`` without the checks."""
+
+    def test_same_bytes_as_checked_operators(self):
+        r = seeded_rng(2024)
+        for _ in range(200):
+            v = special_vector(r)
+            finite = np.isfinite(v)
+            t = float(r.choice([0.0, r.uniform(0, 3)]))
+            theta = float(r.uniform(0.05, 5.0))
+            beta = float(r.choice([0.0, r.uniform(0, 3)]))
+            # 1e200 overflows when squared, in the checked operator as well
+            with np.errstate(invalid="ignore", over="ignore"):
+                l1 = soft_threshold(v, t)
+                lsp = lsp_shrink(v, theta, beta)
+                former = former_prox_lsp_arithmetic(v, theta, beta)
+                checked_l1 = prox_l1(v[finite], t)
+                checked_lsp = prox_lsp(v[finite], theta, beta)
+            # elementwise maps: the finite entries match the checked operators
+            assert l1[finite].tobytes() == checked_l1.tobytes()
+            assert lsp[finite].tobytes() == checked_lsp.tobytes()
+            # and every entry, NaN and inf included, the former arithmetic
+            assert l1.tobytes() == (np.sign(v) * np.maximum(np.abs(v) - t, 0.0)).tobytes()
+            assert lsp.tobytes() == former.tobytes()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: prox_l1(np.array([1.0, np.nan]), 0.5),
+            lambda: prox_l1(np.array([1.0, np.inf]), 0.5),
+            lambda: prox_l1(np.ones(2), -0.5),
+            lambda: prox_lsp(np.array([np.nan, 1.0]), 1.0, 0.5),
+            lambda: prox_lsp(np.array([-np.inf, 1.0]), 1.0, 0.5),
+            lambda: prox_lsp(np.ones(2), 1.0, -0.5),
+            lambda: prox_lsp(np.ones(2), -1.0, 0.5),
+        ],
+        ids=["l1-nan", "l1-inf", "l1-neg-t", "lsp-nan", "lsp-inf", "lsp-neg-beta", "lsp-neg-theta"],
+    )
+    def test_checked_operators_still_validate(self, call):
+        with pytest.raises(ValidationError):
+            call()
 
 
 class TestProxQuadratic:

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -73,13 +74,14 @@ class TestSpectrumRadius:
         spec = CompanionSpec(1, (1.0,), alpha=0.5, beta=1.0, m=4)
         assert spectrum_radius(spec, 1.0, 2.0) == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_rows_give_infinite_radius(self):
-        # a^200 overflows on every row, which then holds NaN or inf (with
-        # overflow and invalid-value warnings from building the rows)
+        # a^200 overflows on every row, which then holds NaN or inf; no
+        # overflow or invalid-value warning escapes from building the rows
         xi = tuple(bdf_coefficients(3)[0])
         spec = CompanionSpec(3, xi, alpha=90.0, beta=10.0, m=200)
-        assert spectrum_radius(spec, 1.0, 2.0) == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectrum_radius(spec, 1.0, 2.0) == np.inf
 
     def test_monotone_in_spectrum_enlargement(self):
         xi = tuple(bdf_coefficients(3)[0])
