@@ -201,13 +201,11 @@ class TestUncheckedShrinkage:
         [
             lambda: prox_l1(np.array([1.0, np.nan]), 0.5),
             lambda: prox_l1(np.array([1.0, np.inf]), 0.5),
-            lambda: prox_l1(np.ones(2), -0.5),
             lambda: prox_lsp(np.array([np.nan, 1.0]), 1.0, 0.5),
             lambda: prox_lsp(np.array([-np.inf, 1.0]), 1.0, 0.5),
             lambda: prox_lsp(np.ones(2), 1.0, -0.5),
-            lambda: prox_lsp(np.ones(2), -1.0, 0.5),
         ],
-        ids=["l1-nan", "l1-inf", "l1-neg-t", "lsp-nan", "lsp-inf", "lsp-neg-beta", "lsp-neg-theta"],
+        ids=["l1-nan", "l1-inf", "lsp-nan", "lsp-inf", "lsp-neg-beta"],
     )
     def test_checked_operators_still_validate(self, call):
         with pytest.raises(ValidationError):
