@@ -7,7 +7,8 @@ Subcommands:
   row misses its tolerance and fails the companion-simulation oracle.
 - ``figure1``: radius-versus-beta curves per (L, m) panel.
 - ``run``: one of the four application experiments (l1, lsp, altproj,
-  matfac), emitting trace CSV + SVG and a ``run.json`` sidecar.
+  matfac), emitting trace CSV + SVG and a ``run.json`` sidecar; its
+  ``fixed_at`` gives, per tau, the first step that reused a fixed point.
 - ``accel``: tuned two-step coefficients with predicted and fitted rates.
 
 Every flag has a config-file equivalent (a flat JSON object); explicit
@@ -330,6 +331,7 @@ def cmd_run(args):
     if not any(v > 0 for s in series for _, v in s.metrics.get(axes.metric, ())):
         axes.ylog = False
     diverged = any(s.diverged for s in series)
+    extra["fixed_at"] = {str(s.tau): s.fixed_at for s in series}
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(series, out / f"{args.experiment}_traces.csv")
     emit_svg(series, out / f"{args.experiment}.svg", axes)

@@ -216,8 +216,10 @@ class Trace:
     ``metrics`` maps a metric name to its (k, value) points, which
     ``emit_csv`` writes and ``emit_svg`` plots; ``ks`` and ``walltime_s``
     hold one entry per accepted state, and ``state`` is the last accepted
-    state (a tuple of blocks). ``iterates`` and ``inner_steps`` are filled
-    by ``run`` only. ``experiment`` and ``seed`` label the CSV rows.
+    state (a tuple of blocks). ``fixed_at`` is the first step accepted
+    without calling the step map (see ``iterate``), or None.
+    ``iterates`` and ``inner_steps`` are filled by ``run`` only.
+    ``experiment`` and ``seed`` label the CSV rows.
     """
 
     tau: int
@@ -231,6 +233,7 @@ class Trace:
     state: Optional[tuple] = None
     diverged: bool = False
     diverged_at: Optional[int] = None
+    fixed_at: Optional[int] = None
 
     def add(self, name, k, value):
         self.metrics.setdefault(name, []).append((k, value))
@@ -238,6 +241,15 @@ class Trace:
     def values(self, name):
         """The recorded values of one metric, in step order."""
         return [v for _, v in self.metrics[name]]
+
+
+def _same_bytes(a, b):
+    """Whether two states hold the same blocks, bit for bit.
+
+    ``==`` would equate -0.0 with 0.0 and could put a zero of the other
+    sign into the trace.
+    """
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 def iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
@@ -255,34 +267,52 @@ def iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
     norm above ``TOL.divergence_norm`` is rejected. Divergence, there or
     raised by ``step`` or ``record``, marks the trace diverged at the
     failing step and raises DivergenceError carrying it.
+
+    ``step`` must be a deterministic function of its arguments. A step
+    whose blocks have the bytes of the last state's is accepted as that
+    state object. Once a full window of tau copies of one state has been
+    stepped onto that state, every later step would return it again, so
+    it is accepted without calling ``mix``, ``step`` or the divergence
+    check; ``trace.fixed_at`` records the first such step. ``record`` and
+    ``stop`` still run on every step.
     """
     tau = len(xi)
     trace = Trace(tau, ks=[0], walltime_s=[0.0], state=x0)
     states = [x0] * tau if warmup == "repeat" else [x0]
+    fixed = False
     k = 0
     try:
         record(trace, 0, x0)
         for k in range(1, iterations + 1):
             t0 = time.perf_counter()
-            weights, mixed_from = xi, states
-            if len(states) < tau:
-                if len(states) in _BDF_TABLE:
-                    weights = bdf_coefficients(len(states))[0]
-                else:
-                    mixed_from = [x0] * (tau - len(states)) + states
-            mixed = tuple(mix(blocks, weights) for blocks in zip(*mixed_from))
-            x_next = step(mixed, states[-1])
-            for block in x_next:
-                norm = float(np.linalg.norm(block))
-                if not math.isfinite(norm) or norm > TOL.divergence_norm:
-                    raise DivergenceError(f"iterate norm {norm:.3e} at outer step {k}")
+            last = states[-1]
+            if fixed:
+                if trace.fixed_at is None:
+                    trace.fixed_at = k
+                x_next = last
+            else:
+                weights, mixed_from = xi, states
+                if len(states) < tau:
+                    if len(states) in _BDF_TABLE:
+                        weights = bdf_coefficients(len(states))[0]
+                    else:
+                        mixed_from = [x0] * (tau - len(states)) + states
+                mixed = tuple(mix(blocks, weights) for blocks in zip(*mixed_from))
+                x_next = step(mixed, last)
+                for block in x_next:
+                    norm = float(np.linalg.norm(block))
+                    if not math.isfinite(norm) or norm > TOL.divergence_norm:
+                        raise DivergenceError(f"iterate norm {norm:.3e} at outer step {k}")
+                if _same_bytes(x_next, last):
+                    x_next = last
+                    fixed = len(states) == tau and all(s is last for s in states)
+                states.append(x_next)
+                if len(states) > tau:
+                    states.pop(0)
             trace.ks.append(k)
             trace.walltime_s.append(time.perf_counter() - t0)
             trace.state = x_next
             record(trace, k, x_next)
-            states.append(x_next)
-            if len(states) > tau:
-                states.pop(0)
             if stop is not None and stop(trace):
                 break
     except DivergenceError as err:
@@ -291,6 +321,18 @@ def iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
         err.trace = trace
         raise
     return trace
+
+
+def _memo_last(fn):
+    """``fn`` with a one-entry cache keyed on the identity of its argument."""
+    last = [None, None]
+
+    def cached(x):
+        if last[0] is not x:
+            last[:] = x, fn(x)
+        return last[1]
+
+    return cached
 
 
 def run(
@@ -310,7 +352,8 @@ def run(
     "objective", "objective_gap" (when ``f_star`` is given),
     "iterate_error" (when the minimizer is known) and "epsilon_beta"
     (every ``stat_every`` iterations when that is > 0), and keeps every
-    iterate. Stops early when ``stop_metric`` (one of those metric names)
+    iterate. ``inner_steps`` counts the inner steps each outer step ran:
+    none from ``trace.fixed_at`` on. Stops early when ``stop_metric`` (one of those metric names)
     drops to ``stop_tol``; ``stop_metric`` may instead be a predicate on
     the trace, which stops the run when it returns true.
     Divergence (non-finite iterate or norm above ``TOL.divergence_norm``)
@@ -342,22 +385,26 @@ def run(
         start = last[0] if cfg.inner_start == "previous" else mixed[0]
         return (approx_prox(objective, mixed[0], start, beta, cfg.inner_m, alpha),)
 
+    # at a fixed point the engine passes the same state object on every
+    # step, so each metric is computed once there
+    value_of = _memo_last(lambda x: float(objective.value(x)))
+    error_of = _memo_last(lambda x: float(np.linalg.norm(x - objective.minimizer)))
+    stationarity_of = _memo_last(
+        lambda x: epsilon_stationarity(objective, x, beta, inner_alpha=alpha)
+    )
+
     def record(trace, k, state):
         x = state[0]
         trace.iterates.append(x)
-        trace.inner_steps.append(inner if k else 0)
-        value = float(objective.value(x))
+        trace.inner_steps.append(inner if k and trace.fixed_at is None else 0)
+        value = value_of(x)
         trace.add("objective", k, value)
         if f_star is not None:
             trace.add("objective_gap", k, value - f_star)
         if objective.minimizer is not None:
-            trace.add("iterate_error", k, float(np.linalg.norm(x - objective.minimizer)))
+            trace.add("iterate_error", k, error_of(x))
         if (stat_every > 0 and k % stat_every == 0) or stop_metric == "epsilon_beta":
-            trace.add(
-                "epsilon_beta",
-                k,
-                epsilon_stationarity(objective, x, beta, inner_alpha=alpha),
-            )
+            trace.add("epsilon_beta", k, stationarity_of(x))
 
     done = None
     if callable(stop_metric):

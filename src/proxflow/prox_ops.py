@@ -54,7 +54,17 @@ def lsp_shrink(v, theta, beta):
     obj_root = beta * np.log1p(candidate / theta) + 0.5 * (candidate - a) ** 2
     obj_zero = 0.5 * a**2
     take_root = positive & (obj_root < obj_zero)
-    return np.sign(v) * np.where(take_root, root, 0.0)
+    out = np.where(take_root, root, 0.0)
+    overflow = np.isinf(disc)
+    if overflow.any():
+        # (a + theta)^2 overflowed, and both objectives with it. The root's
+        # objective is finite and the zero's is not, so the root is the prox.
+        # Halving each term first is exact and keeps a sum near the top of
+        # the float range finite.
+        big = a[overflow]
+        s = big + theta
+        out[overflow] = 0.5 * (big - theta) + 0.5 * s * np.sqrt(1.0 - 4.0 * beta / s / s)
+    return np.sign(v) * out
 
 
 def prox_lsp(x, theta, beta):
@@ -68,14 +78,20 @@ def prox_lsp(x, theta, beta):
     We return ``sign(x) * u+`` when that root exists, is positive and has a
     strictly lower 1-D objective than 0; otherwise 0 (ties prefer the
     sparser point, so the operator is a deterministic function even in the
-    nonconvex regime where the prox is set-valued).
+    nonconvex regime where the prox is set-valued). Where ``(|x| + theta)^2``
+    overflows, ``u+`` is taken as
+    ``((|x| - theta) + (|x| + theta) sqrt(1 - 4 beta / (|x| + theta)^2)) / 2``,
+    whose objective is finite where the zero's is not; ``+-inf`` maps to
+    ``+-inf``.
     """
     v = as_vector(x, "x")
     if theta <= 0:
         raise ValidationError(f"theta must be > 0, got {theta}")
     if beta < 0:
         raise ValidationError(f"beta must be >= 0, got {beta}")
-    return lsp_shrink(v, theta, beta)
+    # an entry above about 1e154 overflows when squared, with a finite result
+    with np.errstate(over="ignore"):
+        return lsp_shrink(v, theta, beta)
 
 
 @dataclass

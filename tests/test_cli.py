@@ -157,6 +157,15 @@ class TestRun:
         assert code in (0, 3)
         assert (out / "matfac_traces.csv").exists()
 
+    def test_run_json_reports_fixed_at_per_tau(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "altproj", "--iters", "5", "--n", "20", "--d", "4",
+                     "--out", str(out)]) == 0
+        # no altproj window repeats itself
+        assert json.loads((out / "run.json").read_text())["fixed_at"] == {
+            "1": None, "2": None, "3": None
+        }
+
     def test_lsp_stationary_start_plots_on_linear_axis(self, tmp_path):
         # seed 1: x0 = 0 is already stationary, so every epsilon_beta is 0
         out = tmp_path / "lsp"
@@ -277,8 +286,7 @@ def _trace_digest(path):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(SEEDED))
-def test_seed0_trace_bit_identical_to_snapshot(name, tmp_path):
+def _assert_trace_matches_snapshot(name, seed, out):
     # the benchmark snapshot's single-thread digests; OpenBLAS gives
     # bit-different traces at other thread counts
     args, trace_file = SEEDED[name]
@@ -287,13 +295,26 @@ def test_seed0_trace_bit_identical_to_snapshot(name, tmp_path):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     subprocess.run(
-        [sys.executable, "-m", "proxflow.cli", *args, "--seed", "0",
-         "--out", str(tmp_path)],
+        [sys.executable, "-m", "proxflow.cli", *args, "--seed", str(seed),
+         "--out", str(out)],
         env=env, check=True, capture_output=True, timeout=600,
     )
     snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
-    want = snapshot["seeded"]["1"][name]["0"]["digest"]
-    assert _trace_digest(tmp_path / trace_file) == want
+    want = snapshot["seeded"]["1"][name][str(seed)]["digest"]
+    assert _trace_digest(out / trace_file) == want
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seed0_trace_bit_identical_to_snapshot(name, tmp_path):
+    _assert_trace_matches_snapshot(name, 0, tmp_path)
+
+
+def test_stationary_lsp_start_bit_identical_to_snapshot(tmp_path):
+    # seed 1 starts at a stationary point, so taus 1, 2 and 3 reuse a fixed
+    # point from steps 3, 4 and 5 on
+    _assert_trace_matches_snapshot("run_lsp", 1, tmp_path)
+    fixed_at = json.loads((tmp_path / "run.json").read_text())["fixed_at"]
+    assert fixed_at == {"1": 3, "2": 4, "3": 5}
 
 
 def test_import_loads_no_unneeded_modules():

@@ -6,23 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxflow import experiments, multistep
 from proxflow.multistep import (
+    _BDF_TABLE,
     CompositeObjective,
     DegenerateParameterError,
     DivergenceError,
     MultistepConfig,
+    Trace,
     UnsupportedOrderError,
     approx_prox,
     bdf_coefficients,
     delta_constant,
     epsilon_stationarity,
     gamma_bound,
+    iterate,
     mix,
     quadratic_objective,
     run,
     theorem_bounds,
 )
-from proxflow.numerics import ValidationError, seeded_rng
+from proxflow.numerics import TOL, ValidationError, seeded_rng
 from proxflow.prox_ops import QuadraticProblem, prox_l1, prox_lsp, prox_quadratic
 
 from conftest import random_spd, random_symmetric_with_spectrum
@@ -133,6 +137,16 @@ class TestApproxProx:
         from proxflow.experiments import gen_sensing, lasso_objective
 
         objective = lasso_objective(gen_sensing(10, 20, "uniform", 3), 0.1)
+        with pytest.raises(DivergenceError) as err:
+            approx_prox(objective, np.ones(20), np.full(20, 1e280), 1.0, 10, 1e6)
+        assert err.value.step == 5
+
+    def test_lsp_blow_up_is_divergence(self):
+        # the log-sum prox maps an entry whose square overflows to its root,
+        # not to 0, so the blow-up is reported at the same step as the lasso's
+        objective = experiments.lsp_objective(
+            experiments.gen_sensing(10, 20, "uniform", 3), 1.0
+        )
         with pytest.raises(DivergenceError) as err:
             approx_prox(objective, np.ones(20), np.full(20, 1e280), 1.0, 10, 1e6)
         assert err.value.step == 5
@@ -446,3 +460,230 @@ class TestConfigValidation:
     def test_xi_bar_scaling_applies(self):
         cfg = MultistepConfig.bdf(2, 3.0, use_xi_bar_scaling=True)
         assert cfg.effective_beta() == pytest.approx(2.0)
+
+
+def former_iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
+    """The engine loop as it was before fixed points were reused: it calls
+    ``step`` on every outer step and records whatever ``step`` returned."""
+    tau = len(xi)
+    trace = Trace(tau, ks=[0], walltime_s=[0.0], state=x0)
+    states = [x0] * tau if warmup == "repeat" else [x0]
+    k = 0
+    try:
+        record(trace, 0, x0)
+        for k in range(1, iterations + 1):
+            weights, mixed_from = xi, states
+            if len(states) < tau:
+                if len(states) in _BDF_TABLE:
+                    weights = bdf_coefficients(len(states))[0]
+                else:
+                    mixed_from = [x0] * (tau - len(states)) + states
+            mixed = tuple(mix(blocks, weights) for blocks in zip(*mixed_from))
+            x_next = step(mixed, states[-1])
+            for block in x_next:
+                norm = float(np.linalg.norm(block))
+                if not math.isfinite(norm) or norm > TOL.divergence_norm:
+                    raise DivergenceError(f"iterate norm {norm:.3e} at outer step {k}")
+            trace.ks.append(k)
+            trace.walltime_s.append(0.0)
+            trace.state = x_next
+            record(trace, k, x_next)
+            states.append(x_next)
+            if len(states) > tau:
+                states.pop(0)
+            if stop is not None and stop(trace):
+                break
+    except DivergenceError as err:
+        trace.diverged = True
+        trace.diverged_at = k
+        err.trace = trace
+        raise
+    return trace
+
+
+def _use_former_engine(monkeypatch):
+    monkeypatch.setattr(multistep, "iterate", former_iterate)
+    monkeypatch.setattr(experiments, "iterate", former_iterate)
+
+
+def _assert_same_run(new, old):
+    """Everything but walltime_s and inner_steps, bit for bit."""
+    assert new.keys() == old.keys()
+    for tau in new:
+        a, b = new[tau], old[tau]
+        assert a.ks == b.ks
+        assert a.metrics.keys() == b.metrics.keys()
+        for name in a.metrics:
+            got = np.array(a.metrics[name])
+            assert got.tobytes() == np.array(b.metrics[name]).tobytes(), (tau, name)
+        assert len(a.state) == len(b.state)
+        for x, y in zip(a.state, b.state):
+            assert x.tobytes() == y.tobytes()
+        assert (a.diverged, a.diverged_at) == (b.diverged, b.diverged_at)
+        assert b.fixed_at is None
+
+
+def _counting(step):
+    calls = []
+
+    def counted(mixed, last):
+        calls.append(last)
+        return step(mixed, last)
+
+    return counted, calls
+
+
+def _record_sum(trace, k, state):
+    trace.add("sum", k, float(state[0].sum()))
+
+
+class TestFixedPoint:
+    """The engine accepts a fixed point without recomputing it."""
+
+    def test_step_is_called_once_from_the_full_fixed_window(self):
+        # the last state climbs by 1 to 5 and stays there
+        step, calls = _counting(lambda mixed, last: (np.minimum(last[0] + 1.0, 5.0),))
+        trace = iterate(step, (np.zeros(2),), bdf_coefficients(3)[0], 20, _record_sum)
+        # steps 1-5 climb; 6 and 7 fill the window with the state of step 5,
+        # and step 8 is the one call from that full window
+        assert len(calls) == 8
+        assert trace.fixed_at == 9
+        assert trace.ks == list(range(21))
+        assert trace.values("sum") == [0.0, 2.0, 4.0, 6.0, 8.0] + [10.0] * 16
+        assert trace.state[0].tobytes() == np.full(2, 5.0).tobytes()
+        assert len(trace.walltime_s) == 21
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 4, 6])
+    def test_ramp_does_not_fix_a_window_that_is_not_full(self, tau):
+        # the identity step: ramp calls it with the growing BDF rows until
+        # tau states exist, then once from the full window
+        step, calls = _counting(lambda mixed, last: (last[0].copy(),))
+        xi = bdf_coefficients(tau)[0] if tau <= 4 else [1.0 / tau] * tau
+        trace = iterate(step, (np.ones(3),), xi, 10, _record_sum)
+        assert len(calls) == tau
+        assert trace.fixed_at == tau + 1
+
+    def test_repeat_warmup_starts_with_a_full_window(self):
+        step, calls = _counting(lambda mixed, last: (last[0].copy(),))
+        trace = iterate(
+            step, (np.ones(3),), bdf_coefficients(3)[0], 10, _record_sum, warmup="repeat"
+        )
+        assert len(calls) == 1
+        assert trace.fixed_at == 2
+
+    def test_fixed_point_reached_on_the_last_step_is_not_reported(self):
+        step, calls = _counting(lambda mixed, last: (last[0].copy(),))
+        trace = iterate(step, (np.ones(3),), (1.0,), 1, _record_sum)
+        assert len(calls) == 1
+        assert trace.fixed_at is None
+
+    def test_signed_zero_is_never_fixed(self):
+        # 0.0 and -0.0 compare equal but are different bytes
+        step, calls = _counting(lambda mixed, last: (-last[0],))
+        trace = iterate(step, (np.zeros(2),), (1.0,), 9, _record_sum)
+        assert len(calls) == 9
+        assert trace.fixed_at is None
+        assert np.signbit(trace.state[0]).all()
+
+    @pytest.mark.parametrize("bad_at", [1, 4])
+    def test_nan_step_diverges_as_before(self, bad_at):
+        # NaN bytes equal themselves; the divergence check still comes first
+        def step(mixed, last):
+            if len(trace_ks) >= bad_at:  # records 0..k-1 so far
+                return (np.full(2, np.nan),)
+            return (last[0] * 0.5,)
+
+        def record(trace, k, state):
+            trace_ks.append(k)
+            _record_sum(trace, k, state)
+
+        results = []
+        for engine in (iterate, former_iterate):
+            trace_ks = []
+            with pytest.raises(DivergenceError) as err:
+                engine(step, (np.ones(2),), (1.0,), 10, record)
+            results.append(err.value.trace)
+        new, old = results
+        assert (new.diverged, new.diverged_at) == (True, bad_at)
+        assert (new.ks, new.metrics) == (old.ks, old.metrics)
+        assert (old.diverged, old.diverged_at) == (True, bad_at)
+
+    def test_nan_start_diverges_at_the_first_step(self):
+        trace_ks = []
+        with pytest.raises(DivergenceError) as err:
+            iterate(
+                lambda mixed, last: (last[0].copy(),),
+                (np.full(2, np.nan),), (1.0,), 10,
+                lambda trace, k, state: trace_ks.append(k),
+            )
+        assert err.value.trace.diverged_at == 1
+        assert trace_ks == [0]
+
+
+class TestFixedPointMatchesFormerEngine:
+    """Reusing fixed points gives the same traces as recomputing them."""
+
+    @staticmethod
+    def _sensing(kind, seed):
+        problem = experiments.gen_sensing(
+            *((50, 100) if kind == "l1" else (20, 50)), "uniform", seed
+        )
+        if kind == "l1":
+            f_star = experiments.reference_optimum(problem, 0.01, 1.0)
+            return lambda: experiments.run_l1(
+                problem, 0.01, (1, 2, 3), 1.0, 4, 2000, f_star=f_star
+            ).traces
+        return lambda: experiments.run_lsp(problem, 5.0, (1, 2, 3), 1.0, 4, 2000).traces
+
+    @pytest.mark.parametrize(
+        "kind, seed, fixed",
+        [
+            ("l1", 0, {1: 1131, 2: 764, 3: 623}),
+            ("lsp", 0, {1: 251, 2: 159, 3: 142}),
+            ("lsp", 1, {1: 3, 2: 4, 3: 5}),
+        ],
+    )
+    def test_sensing_runs(self, kind, seed, fixed, monkeypatch):
+        # paper defaults; every run here reaches a fixed point
+        runs = self._sensing(kind, seed)
+        new = runs()
+        assert {tau: t.fixed_at for tau, t in new.items()} == fixed
+        for tau, t in new.items():
+            # inner steps are counted only where the step map ran
+            assert sum(t.inner_steps) == 4 * (t.fixed_at - 1)
+        _use_former_engine(monkeypatch)
+        _assert_same_run(new, runs())
+
+    def test_altproj_and_matfac(self, monkeypatch):
+        pair = experiments.gen_subspaces(500, 400, 0.5, 0)
+        problem = experiments.gen_matfac(100, 10, 0.1, 0)
+
+        def runs():
+            return (
+                experiments.run_altproj(pair, (1, 2, 3), 300),
+                experiments.run_matfac(problem, (1, 2, 3), 300),
+            )
+
+        new = runs()
+        _use_former_engine(monkeypatch)
+        for a, b in zip(new, runs()):
+            _assert_same_run(a, b)
+
+    def test_stationary_lsp_computes_each_metric_once(self, monkeypatch):
+        # seed 1 starts at a stationary point. The first step returns it with
+        # some zeros negated, a new state; the second returns that state's bytes
+        calls = []
+        counted = multistep.epsilon_stationarity
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(multistep, "epsilon_stationarity", counting)
+        traces = self._sensing("lsp", 1)()
+        # once at the start and once at the fixed point, per tau
+        assert len(calls) == 6
+        for t in traces.values():
+            assert len(t.metrics["epsilon_beta"]) == 81
+            assert t.values("epsilon_beta") == [0.0] * 81
+            assert all(x is t.iterates[1] for x in t.iterates[1:])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,12 +191,28 @@ class TestUncheckedShrinkage:
                 former = former_prox_lsp_arithmetic(v, theta, beta)
                 checked_l1 = prox_l1(v[finite], t)
                 checked_lsp = prox_lsp(v[finite], theta, beta)
+                overflow = np.isinf((np.abs(v) + theta) ** 2)
             # elementwise maps: the finite entries match the checked operators
             assert l1[finite].tobytes() == checked_l1.tobytes()
             assert lsp[finite].tobytes() == checked_lsp.tobytes()
-            # and every entry, NaN and inf included, the former arithmetic
+            # and every entry, NaN and inf included, the former arithmetic,
+            # except where (|v| + theta)^2 overflows: there it gave 0
             assert l1.tobytes() == (np.sign(v) * np.maximum(np.abs(v) - t, 0.0)).tobytes()
-            assert lsp.tobytes() == former.tobytes()
+            assert lsp[~overflow].tobytes() == former[~overflow].tobytes()
+            # the planted 1e200 and +-inf; theta and beta / |v| lie below
+            # half an ulp of 1e200, so the root is the entry itself
+            assert overflow.sum() == 3
+            assert lsp[overflow].tobytes() == v[overflow].tobytes()
+
+    def test_overflowing_entries_keep_their_root(self):
+        # the former arithmetic returned [0, 1e150] and warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = prox_lsp(np.array([1e200, 1e150, -1e200, -2e154]), 1.0, 1.0)
+        assert got.tobytes() == np.array([1e200, 1e150, -1e200, -2e154]).tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = lsp_shrink(np.array([np.inf, -np.inf, 1.79e308]), 2.0, 3.0)
+        assert out.tobytes() == np.array([np.inf, -np.inf, 1.79e308]).tobytes()
 
     @pytest.mark.parametrize(
         "call",
