@@ -19,7 +19,6 @@ except ImportError:  # pragma: no cover
     HAVE_NATIVE = False
 
 MAX_DEGREE = _fallback.MAX_DEGREE
-poly_roots = _fallback.poly_roots
 
 
 def backend_name():

@@ -55,20 +55,6 @@ def _durand_kerner_chunk(coeffs):
     return z
 
 
-def poly_roots(coeffs):
-    """Roots of a single monic polynomial given ascending coefficients."""
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    d = coeffs.shape[1]
-    if d == 1:
-        return np.array([-coeffs[0, 0]], dtype=complex)
-    if d == 2:
-        q0, q1 = coeffs[0]
-        disc = complex(q1 * q1 - 4.0 * q0)
-        s = np.sqrt(disc)
-        return np.array([(-q1 + s) / 2.0, (-q1 - s) / 2.0])
-    return _durand_kerner_chunk(coeffs)[0]
-
-
 def max_root_modulus_batch(coeffs):
     """Max root modulus per row of a (N, d) batch of monic polynomials.
 

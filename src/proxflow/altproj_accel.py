@@ -62,7 +62,11 @@ def projection_spectrum(pair):
 
 
 def multistep_altproj_radius(lam, xi):
-    """Max root modulus of the mixed alternating-projection recursion."""
+    """Max root modulus of the mixed alternating-projection recursion.
+
+    tau <= 2 has a closed form; a longer recursion goes to the batch
+    root-modulus kernel through ``polynomial_max_root_modulus``.
+    """
     if not -1e-12 <= lam <= 1.0 + 1e-12:
         raise ValidationError(f"lambda must be in [0, 1], got {lam}")
     lam = min(max(lam, 0.0), 1.0)
@@ -122,50 +126,6 @@ def tuned_xi2(rho):
     return float(xi1), float(xi2)
 
 
-def tuned_xi_search(lams, tau, iterations=200):
-    """Coordinate search for weights minimizing the worst-case radius.
-
-    Operates on the affine set sum(xi) = 1 for tau in {2, 3}; the result
-    is never worse than single-step weights, nor than ``tuned_xi2`` when
-    tau = 2 and a single eigenvalue is given.
-    """
-    if tau not in (2, 3):
-        raise ValidationError(f"search supports tau in {{2, 3}}, got {tau}")
-    lams = [float(v) for v in lams]
-    if not lams:
-        raise ValidationError("need at least one eigenvalue")
-
-    def worst(free):
-        xi = tuple(free) + (1.0 - sum(free),)
-        return max(multistep_altproj_radius(lam, xi) for lam in lams)
-
-    candidates = [tuple([0.0] * (tau - 1))]  # single-step
-    if tau == 2:
-        for lam in lams:
-            if 0.0 < lam < 1.0:
-                xi1, _ = tuned_xi2(1.0 - lam)
-                candidates.append((xi1,))
-    best = min(candidates, key=worst)
-    best_val = worst(best)
-
-    step = 0.5
-    free = list(best)
-    for _ in range(iterations):
-        improved = False
-        for i in range(len(free)):
-            for delta in (step, -step):
-                trial = list(free)
-                trial[i] += delta
-                val = worst(trial)
-                if val < best_val - 1e-15:
-                    free, best_val, improved = trial, val, True
-        if not improved:
-            step *= 0.5
-            if step < 1e-9:
-                break
-    return tuple(free) + (1.0 - sum(free),)
-
-
 def prescribed_angle_pair(angles, ambient=None, seed=None):
     """Subspace pair with exactly the given principal angles.
 
@@ -207,20 +167,21 @@ class RateFit:
     truncated: bool = False
 
 
-def verify_rate(pair, xi, iterations, x0=None, floor=1e-280):
+def verify_rate(pair, xi, iterations):
     """Fit the empirical decay rate of multistep alternating projections.
 
     Runs the iteration, then regresses log |r^(k)| on k over the last
-    half of the iterations. If the residual underflows before the fit
-    window ends, the window shrinks and the fit is flagged truncated.
+    half of the iterations. If the residual falls to 1e-280 or below
+    before the fit window ends, the window shrinks and the fit is flagged
+    truncated.
     """
     from .experiments import altproj_trace
 
-    trace = altproj_trace(pair, tuple(xi), iterations, x0=x0)
+    trace = altproj_trace(pair, tuple(xi), iterations)
     resid = np.asarray(trace.values("residual"))
     ks = np.arange(resid.size)
     window = ks >= iterations // 2
-    alive = resid > floor
+    alive = resid > 1e-280
     truncated = bool(np.any(window & ~alive))
     keep = window & alive
     if keep.sum() < 2:

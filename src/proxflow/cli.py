@@ -347,7 +347,8 @@ def cmd_accel(args):
     out = Path(args.out)
     if args.angles is not None:
         pair = prescribed_angle_pair(args.angles, seed=args.seed)
-        rho = projection_spectrum(pair).rho
+        spectrum = projection_spectrum(pair)
+        rho = spectrum.rho
         if rho is None:
             print("degenerate pair: all principal angles are zero", file=sys.stderr)
             return 2
@@ -358,14 +359,12 @@ def cmd_accel(args):
             return 2
         theta = float(np.arccos(np.sqrt(1.0 - rho)))
         pair = prescribed_angle_pair([theta, theta, theta], seed=args.seed)
+        spectrum = projection_spectrum(pair)
 
     xi1, xi2 = tuned_xi2(rho)
     rows = []
     for label, xi in (("single-step", (1.0,)), ("tuned-2step", (xi1, xi2))):
-        predicted = max(
-            multistep_altproj_radius(lam, xi)
-            for lam in projection_spectrum(pair).eigenvalues
-        )
+        predicted = max(multistep_altproj_radius(lam, xi) for lam in spectrum.eigenvalues)
         fit = verify_rate(pair, xi, args.iters)
         rows.append(
             {

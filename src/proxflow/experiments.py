@@ -51,12 +51,12 @@ class SensingProblem:
         return self.a.shape
 
 
-def gen_sensing(p, q, spectrum_kind, seed, sparsity=None):
+def gen_sensing(p, q, spectrum_kind, seed):
     """Generate A = U diag(sigma) V^T with the declared singular values.
 
     U and V come from orthonormalized seeded Gaussians; x_true is
-    ``sparsity``-sparse standard normal (default p // 5 nonzeros) and
-    b = A x_true (noise-free).
+    standard normal on max(1, p // 5) entries and b = A x_true
+    (noise-free).
     """
     if not 1 <= p < q:
         raise ValidationError(f"need 1 <= p < q, got p={p}, q={q}")
@@ -76,7 +76,7 @@ def gen_sensing(p, q, spectrum_kind, seed, sparsity=None):
         sigma = np.exp(-(r - 1.0))
     a = (u * sigma) @ v.T
 
-    k = max(1, p // 5) if sparsity is None else int(sparsity)
+    k = max(1, p // 5)
     if not 1 <= k <= q:
         raise ValidationError(f"sparsity must be in 1..{q}, got {k}")
     x_true = np.zeros(q)
@@ -139,16 +139,16 @@ def lsp_objective(problem, theta):
     )
 
 
-def reference_optimum(problem, lam, beta, m=50, budget=50000):
+def reference_optimum(problem, lam, beta):
     """Per-instance F* oracle: a long single-step high-budget run.
 
-    Runs at most ``budget`` exact (lam = 0) or m = 50 inner-step prox
-    steps and stops once the objective has not improved by more than
+    Runs at most 50,000 exact (lam = 0) or 50 inner-step prox steps and
+    stops once the objective has not improved by more than
     1e-15 relative for 50 steps in a row; returns the best value seen.
     """
     objective = lasso_objective(problem, lam)
     cfg = MultistepConfig(
-        tau=1, xi=(1.0,), beta=beta, inner_m=None if lam == 0.0 else m
+        tau=1, xi=(1.0,), beta=beta, inner_m=None if lam == 0.0 else 50
     )
     x0 = np.zeros(problem.a.shape[1])
     best, stall = objective.value(x0), 0
@@ -165,7 +165,7 @@ def reference_optimum(problem, lam, beta, m=50, budget=50000):
         best = min(best, val)
         return False
 
-    run(objective, cfg, x0, budget, stop_metric=stagnated)
+    run(objective, cfg, x0, 50000, stop_metric=stagnated)
     return best
 
 
@@ -173,11 +173,7 @@ def _sensing_run(objective, taus, beta, m, iterations, x0, inner_alpha, **kwargs
     """One ``run`` per BDF order; a diverged run keeps its partial trace."""
     traces = {}
     for tau in taus:
-        xi, xi_bar = bdf_coefficients(tau)
-        cfg = MultistepConfig(
-            tau=tau, xi=tuple(xi), beta=beta, inner_m=m, xi_bar=xi_bar,
-            inner_alpha=inner_alpha,
-        )
+        cfg = MultistepConfig.bdf(tau, beta, inner_m=m, inner_alpha=inner_alpha)
         try:
             traces[tau] = run(objective, cfg, x0, iterations, **kwargs)
         except DivergenceError as err:
@@ -192,13 +188,11 @@ class SensingResult:
 
 
 def run_l1(
-    problem, lam, taus, beta, m, iterations, stop_tol=None, x0=None, f_star=None,
-    inner_alpha=None,
+    problem, lam, taus, beta, m, iterations, stop_tol=None, f_star=None, inner_alpha=None
 ):
-    """l1-penalized sensing runs, one trace per BDF order in ``taus``."""
+    """l1-penalized sensing runs from x = 0, one trace per BDF order in ``taus``."""
     objective = lasso_objective(problem, lam)
-    if x0 is None:
-        x0 = np.zeros(problem.a.shape[1])
+    x0 = np.zeros(problem.a.shape[1])
     if f_star is None:
         f_star = reference_optimum(problem, lam, beta)
     traces = _sensing_run(
@@ -209,14 +203,14 @@ def run_l1(
 
 
 def run_lsp(
-    problem, theta, taus, beta, m, iterations, stop_tol=None, x0=None,
-    stat_every=25, inner_alpha=None,
+    problem, theta, taus, beta, m, iterations, stop_tol=None, stat_every=25,
+    inner_alpha=None,
 ):
-    """Log-sum-penalized sensing runs; traces record the stationarity
-    measure (the objective gap is not meaningful without convexity)."""
+    """Log-sum-penalized sensing runs from x = 0; traces record the
+    stationarity measure (the objective gap is not meaningful without
+    convexity)."""
     objective = lsp_objective(problem, theta)
-    if x0 is None:
-        x0 = np.zeros(problem.a.shape[1])
+    x0 = np.zeros(problem.a.shape[1])
     traces = _sensing_run(
         objective, taus, beta, m, iterations, x0, inner_alpha,
         stop_tol=stop_tol,
@@ -248,19 +242,19 @@ class SubspacePair:
         self.b2 = orthonormal_basis(self.c2)
 
 
-def gen_subspaces(n, d, sigma, seed, max_retries=3):
+def gen_subspaces(n, d, sigma, seed):
     """Random pair C1 ~ N(0,1), C2 = (1 - sigma) C1 + sigma Z.
 
     Small sigma means nearly coincident (ill-conditioned) subspaces.
     Rank-deficient draws (probability ~ 0) are regenerated with a bumped
-    seed, at most ``max_retries`` times.
+    seed, at most 3 times.
     """
     if not 1 <= d < n:
         raise ValidationError(f"need 1 <= d < n, got d={d}, n={n}")
     if not 0.0 <= sigma <= 1.0:
         raise ValidationError(f"sigma must be in [0, 1], got {sigma}")
     attempt_seed = seed
-    for _ in range(max_retries + 1):
+    for _ in range(4):
         rng = seeded_rng(attempt_seed)
         c1 = rng.standard_normal((n, d))
         # Z is a temporary, so it is freed before the pair's SVDs run
@@ -269,7 +263,7 @@ def gen_subspaces(n, d, sigma, seed, max_retries=3):
             return SubspacePair(c1, c2, sigma, seed)
         except RankError:
             attempt_seed += 1000003
-    raise RankError(f"rank-deficient generators after {max_retries + 1} draws")
+    raise RankError("rank-deficient generators after 4 draws")
 
 
 def altproj_trace(pair, xi, iterations, x0=None):
@@ -303,12 +297,12 @@ def altproj_trace(pair, xi, iterations, x0=None):
         return err.trace
 
 
-def run_altproj(pair, taus, iterations, x0=None):
+def run_altproj(pair, taus, iterations):
     """Alternating-projection traces, one per BDF order in ``taus``."""
     traces = {}
     for tau in taus:
         xi, _ = bdf_coefficients(tau)
-        traces[tau] = altproj_trace(pair, tuple(xi), iterations, x0=x0)
+        traces[tau] = altproj_trace(pair, tuple(xi), iterations)
     return traces
 
 
@@ -381,12 +375,12 @@ def matfac_trace(problem, xi, iterations, factors0=None):
         return err.trace
 
 
-def run_matfac(problem, taus, iterations, factors0=None):
+def run_matfac(problem, taus, iterations):
     """Matrix-factorization traces, one per BDF order in ``taus``."""
     traces = {}
     for tau in taus:
         xi, _ = bdf_coefficients(tau)
-        traces[tau] = matfac_trace(problem, tuple(xi), iterations, factors0=factors0)
+        traces[tau] = matfac_trace(problem, tuple(xi), iterations)
     return traces
 
 
@@ -435,22 +429,6 @@ def emit_table(rows, path):
         writer.writerow(rows[0])
         for row in rows:
             writer.writerow(_fmt(v) if isinstance(v, float) else v for v in row.values())
-
-
-def read_csv(path):
-    """Parse a trace CSV back into row dicts (floats bit-exact)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            row["seed"] = int(row["seed"])
-            row["tau"] = int(row["tau"])
-            row["k"] = int(row["k"])
-            row["metric_value"] = float(row["metric_value"])
-            row["walltime_s"] = float(row["walltime_s"])
-            row["diverged"] = int(row["diverged"])
-            rows.append(row)
-        return rows
 
 
 @dataclass

@@ -417,7 +417,7 @@ def run(
     return iterate(step, (x0,), cfg.xi, iterations, record, cfg.warmup, done)
 
 
-def epsilon_stationarity(objective, x, beta, inner_m=None, inner_alpha=None):
+def epsilon_stationarity(objective, x, beta, inner_alpha=None):
     """Scaled prox residual |prox_{beta F}(x) - x| / beta.
 
     Uses the exact prox when the objective provides one, otherwise a
@@ -430,9 +430,8 @@ def epsilon_stationarity(objective, x, beta, inner_m=None, inner_alpha=None):
     if objective.exact_prox is not None:
         p = objective.exact_prox(x, beta)
     else:
-        if inner_m is None:
-            per_step = 1.0 - 1.0 / (beta * objective.smoothness + 1.0)
-            inner_m = min(100000, int(math.ceil(math.log(1e-12) / math.log(per_step))))
+        per_step = 1.0 - 1.0 / (beta * objective.smoothness + 1.0)
+        inner_m = min(100000, int(math.ceil(math.log(1e-12) / math.log(per_step))))
         if inner_alpha is None:
             inner_alpha = beta / (beta * objective.smoothness + 1.0)
         p = approx_prox(objective, x, x, beta, inner_m, inner_alpha)

@@ -37,15 +37,8 @@ class Tolerances:
     """Absolute-relative hybrid tolerances used across the package."""
 
     symmetry_rel: float = 1e-12
-    eigen_reconstruction_rel: float = 1e-9
-    root_residual_rel: float = 1e-8
-    solve_residual_rel: float = 1e-10
     condition_limit: float = 1e12
-    basis_orthonormal: float = 1e-10
-    basis_span_rel: float = 1e-9
     rank_rel: float = 1e-10
-    projector_orthonormal: float = 1e-8
-    projection_idempotent: float = 1e-10
     mixing_weight_sum: float = 1e-12
     spectrum_match: float = 1e-8
     companion_discrepancy: float = 1e-9
@@ -91,41 +84,16 @@ def check_symmetric(a, name="matrix"):
     return m
 
 
-@dataclass
-class Spectrum:
-    """Eigenvalue multiset; ``max_modulus`` is recomputed, never cached."""
+def sym_eigen(a):
+    """Eigenvalues, ascending, of a symmetric matrix ``a``.
 
-    eigenvalues: np.ndarray
-
-    @property
-    def max_modulus(self):
-        return float(np.abs(self.eigenvalues).max())
-
-
-def sym_eigen(a, return_vectors=False):
-    """Eigenvalues (ascending) of a symmetric matrix.
-
-    Parameters
-    ----------
-    a : (n, n) array_like
-        Symmetric within ``TOL.symmetry_rel``; n <= ``TOL.max_eigen_dim``.
-    return_vectors : bool
-        If true, also return the orthonormal eigenvector matrix V with
-        A = V diag(w) V^T.
-
-    Returns
-    -------
-    Spectrum, or (Spectrum, V) when ``return_vectors``.
+    ``a`` must be symmetric within ``TOL.symmetry_rel``, with
+    n <= ``TOL.max_eigen_dim``.
     """
     m = check_symmetric(a)
     if m.shape[0] > TOL.max_eigen_dim:
         raise ValidationError(f"dimension {m.shape[0]} exceeds {TOL.max_eigen_dim}")
-    sym = 0.5 * (m + m.T)
-    if return_vectors:
-        w, v = np.linalg.eigh(sym)
-        return Spectrum(w), v
-    w = np.linalg.eigvalsh(sym)
-    return Spectrum(w)
+    return np.linalg.eigvalsh(0.5 * (m + m.T))
 
 
 def polynomial_max_root_modulus(coeffs):
@@ -133,9 +101,8 @@ def polynomial_max_root_modulus(coeffs):
 
     ``coeffs`` lists the coefficients in descending degree order,
     ``[1, c_{d-1}, ..., c_0]``; the leading coefficient must be 1 and
-    1 <= d <= 16. Roots are found by Durand-Kerner simultaneous
-    iteration and certified by the residual bound
-    |p(r)| <= ``TOL.root_residual_rel`` * max |coeff|.
+    1 <= d <= 16. The value is that of ``_kernels.max_root_modulus_batch``
+    on the ascending row ``[c_0, ..., c_{d-1}]``, bit for bit.
     """
     c = as_vector(coeffs, "coeffs")
     d = c.size - 1
@@ -145,35 +112,7 @@ def polynomial_max_root_modulus(coeffs):
         raise ValidationError(f"degree {d} exceeds {TOL.max_poly_degree}")
     if c[0] != 1.0:
         raise ValidationError(f"leading coefficient must be 1, got {c[0]!r}")
-
-    ascending = c[1:][::-1].copy()
-    roots = _kernels.poly_roots(ascending)
-    roots = _newton_polish(c, roots)
-
-    scale = np.abs(c).max()
-    residuals = np.abs(np.polyval(c, roots))
-    worst = residuals.max()
-    if worst > TOL.root_residual_rel * scale:
-        raise ArithmeticError(
-            f"root residual {worst:.3e} exceeds {TOL.root_residual_rel:g} * {scale:.3e}"
-        )
-    return float(np.abs(roots).max())
-
-
-def _newton_polish(desc_coeffs, roots, steps=3):
-    deriv = np.polyder(desc_coeffs)
-    z = roots.astype(complex)
-    for _ in range(steps):
-        dp = np.polyval(deriv, z)
-        dp = np.where(dp == 0, 1e-300, dp)
-        step = np.polyval(desc_coeffs, z) / dp
-        # only accept steps that genuinely reduce the residual
-        znew = z - step
-        better = np.abs(np.polyval(desc_coeffs, znew)) < np.abs(
-            np.polyval(desc_coeffs, z)
-        )
-        z = np.where(better, znew, z)
-    return z
+    return float(_kernels.max_root_modulus_batch(c[:0:-1][None, :])[0])
 
 
 def solve_linear(a, b):

@@ -1,4 +1,4 @@
-"""Closed-form and exactly solvable proximal operators and projections.
+"""Closed-form and exactly solvable proximal operators.
 
 Every operator here maps ``(point, weight)`` to a point of the same
 dimension, and weight 0 is the identity. These are the inner oracles
@@ -114,7 +114,7 @@ class QuadraticProblem:
             raise ValidationError("Q and c dimensions disagree")
         if self.mu > self.lmax:
             raise ValidationError(f"mu={self.mu} exceeds L={self.lmax}")
-        w = sym_eigen(self.q).eigenvalues
+        w = sym_eigen(self.q)
         scale = max(abs(w[0]), abs(w[-1]), 1.0)
         if abs(w[0] - self.mu) > TOL.spectrum_match * scale or abs(
             w[-1] - self.lmax
@@ -129,7 +129,7 @@ class QuadraticProblem:
         q = as_matrix(q, "Q")
         if c is None:
             c = np.zeros(q.shape[0])
-        w = sym_eigen(q).eigenvalues
+        w = sym_eigen(q)
         return cls(q, c, float(w[0]), float(w[-1]))
 
     def value(self, x):
@@ -149,14 +149,3 @@ def prox_quadratic(problem, x, beta):
     n = v.size
     return solve_linear(np.eye(n) + beta * problem.q, v - beta * problem.c)
 
-
-def project_subspace(basis, x):
-    """Orthogonal projection B B^T x onto the span of orthonormal columns."""
-    b = as_matrix(basis, "basis")
-    v = as_vector(x, "x")
-    gram_dev = np.abs(b.T @ b - np.eye(b.shape[1])).max()
-    if gram_dev > TOL.projector_orthonormal:
-        raise ValidationError(
-            f"basis is not orthonormal: max |B^T B - I| = {gram_dev:.3e}"
-        )
-    return b @ (b.T @ v)

@@ -102,13 +102,6 @@ def _worst_radius(alpha, lams, spec):
     return float(radii.max())
 
 
-def scalar_radius(lam, spec):
-    """Convergence radius of the recursion at a single eigenvalue of Q."""
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
-    return _worst_radius(spec.alpha, np.array([lam]), spec)
-
-
 def _lambda_grid(mu, lmax):
     if mu < 0 or lmax < mu:
         raise ValidationError(f"need 0 <= mu <= L, got mu={mu}, L={lmax}")

@@ -8,12 +8,11 @@ from proxflow.altproj_accel import (
     prescribed_angle_pair,
     projection_spectrum,
     tuned_xi2,
-    tuned_xi_search,
     verify_rate,
 )
 from proxflow.experiments import gen_subspaces
-from proxflow.numerics import ValidationError, polynomial_max_root_modulus, seeded_rng
-from proxflow.spectral import CompanionSpec, scalar_radius
+from proxflow.numerics import ValidationError, seeded_rng
+from proxflow.spectral import CompanionSpec, spectrum_radius
 
 
 class TestProjectionSpectrum:
@@ -66,8 +65,11 @@ class TestMultistepAltprojRadius:
             a, b = rng.uniform(-1, 1, 2)
             xi = (float(a), float(b), 1.0 - float(a) - float(b))
             got = multistep_altproj_radius(lam, xi)
-            coeffs = [1.0, -xi[2] * lam, -xi[1] * lam, -xi[0] * lam]
-            assert got == pytest.approx(polynomial_max_root_modulus(coeffs), abs=1e-8)
+            comp = np.array(
+                [[xi[2] * lam, xi[1] * lam, xi[0] * lam], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+            )
+            want = float(np.abs(np.linalg.eigvals(comp)).max())
+            assert got == pytest.approx(want, abs=1e-8)
 
     def test_coincides_with_companion_polynomial(self):
         # the projection recursion is the quadratic-stability recursion
@@ -83,7 +85,7 @@ class TestMultistepAltprojRadius:
             lam_q = (1.0 - lam) / alpha
             spec = CompanionSpec(tau, xi, alpha, beta, 1)
             assert multistep_altproj_radius(lam, xi) == pytest.approx(
-                scalar_radius(lam_q, spec), abs=1e-12
+                spectrum_radius(spec, lam_q, lam_q), abs=1e-12
             )
 
 
@@ -116,32 +118,6 @@ class TestTunedXi2:
         for rho in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValidationError):
                 tuned_xi2(rho)
-
-
-class TestTunedXiSearch:
-    def test_single_lambda_matches_analytic(self):
-        rho = 0.16
-        xi = tuned_xi_search([1.0 - rho], 2)
-        got = multistep_altproj_radius(1.0 - rho, xi)
-        want = multistep_altproj_radius(1.0 - rho, tuned_xi2(rho))
-        assert got <= want + 1e-6
-
-    def test_zero_lambda_trivial(self):
-        xi = tuned_xi_search([0.0], 2)
-        assert multistep_altproj_radius(0.0, xi) == 0.0
-
-    def test_two_lambdas_beat_single_step(self):
-        lams = [0.9, 0.99]
-        xi = tuned_xi_search(lams, 2)
-        worst = max(multistep_altproj_radius(lam, xi) for lam in lams)
-        assert worst < 0.99
-
-    def test_tau3_never_worse_than_single_step(self):
-        lams = [0.5, 0.8, 0.95]
-        xi = tuned_xi_search(lams, 3)
-        worst = max(multistep_altproj_radius(lam, xi) for lam in lams)
-        single = max(lams)
-        assert worst <= single + 1e-12
 
 
 class TestVerifyRate:

@@ -26,7 +26,7 @@ from proxflow.numerics import (
 )
 from proxflow.prox_ops import QuadraticProblem, prox_lsp
 from proxflow.spectral import CompanionSpec, _lambda_grid
-from proxflow.altproj_accel import multistep_altproj_radius, tuned_xi_search
+from proxflow.altproj_accel import multistep_altproj_radius
 
 
 def test_sym_eigen_dimension_cap():
@@ -122,13 +122,6 @@ def test_altproj_radius_rejects_bad_inputs():
         multistep_altproj_radius(1.5, (1.0,))
     with pytest.raises(ValidationError):
         multistep_altproj_radius(0.5, (0.4, 0.4))
-
-
-def test_tuned_xi_search_rejects_bad_tau():
-    with pytest.raises(ValidationError):
-        tuned_xi_search([0.5], 4)
-    with pytest.raises(ValidationError):
-        tuned_xi_search([], 2)
 
 
 def test_diverged_trace_ends_at_flag():

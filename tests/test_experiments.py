@@ -1,3 +1,4 @@
+import csv
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 
@@ -18,7 +19,6 @@ from proxflow.experiments import (
     lasso_objective,
     lsp_objective,
     matfac_trace,
-    read_csv,
     run_altproj,
     run_l1,
     run_lsp,
@@ -278,6 +278,17 @@ class TestRunMatfac:
             assert trace.values("objective")[-1] < trace.values("objective")[0]
 
 
+def read_traces(path):
+    """Rows of a trace CSV, with the integer columns and metric_value parsed."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for key in ("tau", "k", "diverged"):
+            row[key] = int(row[key])
+        row["metric_value"] = float(row["metric_value"])
+    return rows
+
+
 class TestSerialization:
     def _series(self):
         problem = gen_sensing(10, 20, "uniform", 6)
@@ -293,7 +304,7 @@ class TestSerialization:
         emit_csv(series, path)
         text = path.read_text().splitlines()
         assert text[0] == "experiment,seed,tau,k,metric_name,metric_value,walltime_s,diverged"
-        rows = read_csv(path)
+        rows = read_traces(path)
         by_key = {
             (r["tau"], r["k"], r["metric_name"]): r["metric_value"] for r in rows
         }
@@ -336,7 +347,7 @@ class TestSerialization:
         series[0].diverged_at = series[0].metrics["objective"][-1][0]
         path = tmp_path / "d.csv"
         emit_csv(series, path)
-        rows = [r for r in read_csv(path) if r["tau"] == series[0].tau]
+        rows = [r for r in read_traces(path) if r["tau"] == series[0].tau]
         last_k = max(r["k"] for r in rows)
         for r in rows:
             assert r["diverged"] == (1 if r["k"] == last_k else 0)

@@ -125,13 +125,3 @@ class TestNativeParity:
         t_nat = time.perf_counter() - t0
         assert t_nat <= t_fb * 1.5
 
-
-class TestPolyRoots:
-    def test_residuals_small(self):
-        rng = seeded_rng(33)
-        for degree in (2, 5, 9):
-            tail = rng.uniform(-2, 2, degree)
-            roots = _kernels.poly_roots(tail)
-            coeffs = np.concatenate([[1.0], tail[::-1]])
-            residuals = np.abs(np.polyval(coeffs, roots))
-            assert residuals.max() <= 1e-8 * np.abs(coeffs).max()

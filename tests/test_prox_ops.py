@@ -9,7 +9,6 @@ from proxflow.numerics import ValidationError, seeded_rng
 from proxflow.prox_ops import (
     QuadraticProblem,
     lsp_shrink,
-    project_subspace,
     prox_l1,
     prox_lsp,
     prox_quadratic,
@@ -254,31 +253,6 @@ class TestProxQuadratic:
     def test_mu_l_must_match_spectrum(self):
         with pytest.raises(ValidationError):
             QuadraticProblem(np.eye(2), np.zeros(2), 0.5, 1.0)
-
-
-class TestProjectSubspace:
-    def test_fixed_point_inside(self, rng):
-        b = np.linalg.qr(rng.standard_normal((6, 2)))[0]
-        x = b @ rng.standard_normal(2)
-        assert np.allclose(project_subspace(b, x), x, atol=1e-12)
-
-    def test_annihilates_orthogonal(self):
-        b = np.eye(4)[:, :2]
-        x = np.array([0.0, 0.0, 3.0, -1.0])
-        assert np.allclose(project_subspace(b, x), 0.0)
-
-    def test_idempotent_and_orthogonal_residual(self):
-        rng = seeded_rng(4)
-        b = np.linalg.qr(rng.standard_normal((12, 5)))[0]
-        x = rng.standard_normal(12)
-        p1 = project_subspace(b, x)
-        p2 = project_subspace(b, p1)
-        assert np.linalg.norm(p2 - p1) <= 1e-10
-        assert np.abs(b.T @ (x - p1)).max() <= 1e-10
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValidationError):
-            project_subspace(np.ones((3, 2)), np.ones(3))
 
 
 class TestProxOracles:

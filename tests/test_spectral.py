@@ -19,7 +19,6 @@ from proxflow.spectral import (
     companion_matrix,
     max_stable_alpha,
     optimal_rate,
-    scalar_radius,
     simulate_companion_check,
     spectrum_radius,
 )
@@ -36,15 +35,15 @@ class TestScalarRadius:
     def test_frozen_iteration_limit(self):
         # alpha -> 0 freezes the iteration; the radius tends to 1
         spec = CompanionSpec(1, (1.0,), alpha=1e-12, beta=1.0, m=4)
-        assert scalar_radius(2.0, spec) == pytest.approx(1.0, abs=1e-9)
+        assert spectrum_radius(spec, 2.0, 2.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_boundary_value_exact(self):
         spec = CompanionSpec(1, (1.0,), alpha=2.0 / 3.0, beta=1.0, m=4)
-        assert scalar_radius(2.0, spec) == pytest.approx(1.0, abs=1e-12)
+        assert spectrum_radius(spec, 2.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_large_m_reaches_exact_prox_rate(self):
         spec = CompanionSpec(1, (1.0,), alpha=0.4, beta=1.0, m=1000)
-        assert scalar_radius(2.0, spec) == pytest.approx(1.0 / 3.0, abs=1e-9)
+        assert spectrum_radius(spec, 2.0, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_matches_closed_form_tau1(self):
         rng = seeded_rng(8)
@@ -54,22 +53,17 @@ class TestScalarRadius:
             m = int(rng.integers(1, 12))
             lam = float(rng.uniform(0.0, 4.0))
             spec = CompanionSpec(1, (1.0,), alpha=alpha, beta=beta, m=m)
-            assert scalar_radius(lam, spec) == pytest.approx(
+            assert spectrum_radius(spec, lam, lam) == pytest.approx(
                 closed_form_tau1(lam, alpha, beta, m), abs=1e-12
             )
 
     def test_rejects_negative_lambda(self):
         spec = CompanionSpec(1, (1.0,), alpha=0.1, beta=1.0, m=1)
         with pytest.raises(ValidationError):
-            scalar_radius(-0.5, spec)
+            spectrum_radius(spec, -0.5, -0.5)
 
 
 class TestSpectrumRadius:
-    def test_point_spectrum_equals_scalar(self):
-        xi = tuple(bdf_coefficients(2)[0])
-        spec = CompanionSpec(2, xi, alpha=0.3, beta=1.0, m=4)
-        assert spectrum_radius(spec, 1.5, 1.5) == scalar_radius(1.5, spec)
-
     def test_known_interior_maximum(self):
         spec = CompanionSpec(1, (1.0,), alpha=0.5, beta=1.0, m=4)
         assert spectrum_radius(spec, 1.0, 2.0) == pytest.approx(0.5, abs=1e-12)
@@ -301,7 +295,7 @@ class TestCompanionConsistency:
                     tau, xi, float(rng.uniform(0.02, 0.4)), 1.0, int(rng.integers(1, 8))
                 )
                 eigs = np.linalg.eigvalsh(q)
-                poly_route = max(scalar_radius(float(lam), spec) for lam in eigs)
+                poly_route = max(spectrum_radius(spec, float(lam), float(lam)) for lam in eigs)
                 m_mat = companion_matrix(spec, q)
                 matrix_route = float(np.abs(np.linalg.eigvals(m_mat)).max())
                 assert poly_route == pytest.approx(matrix_route, abs=1e-8)
@@ -330,7 +324,7 @@ class TestEmpiricalDecay:
         spec = CompanionSpec(2, xi, alpha=0.3, beta=1.0, m=4)
         eigs = [1.0, 1.3, 1.7, 2.0]
         q = random_symmetric_with_spectrum(rng, eigs)
-        rho = max(scalar_radius(lam, spec) for lam in eigs)
+        rho = max(spectrum_radius(spec, lam, lam) for lam in eigs)
         m_mat = companion_matrix(spec, q)
         z = np.tile(rng.standard_normal(4), 2)
         errs = []
