@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .multistep import Trace
 from .numerics import (
     TOL,
     ValidationError,
@@ -33,12 +34,10 @@ class ProjectionSpectrum:
     """Eigenvalues of the composed projector on nontrivial directions.
 
     ``rho`` is min over eigenvalues below 1 of (1 - lambda); it is None
-    (with ``degenerate`` set) when every direction has lambda = 1, i.e.
-    the subspaces coincide.
+    when every direction has lambda = 1, i.e. the subspaces coincide.
     """
 
     eigenvalues: np.ndarray
-    degenerate: bool = False
 
     _UNIT = 1.0 - 1e-12
 
@@ -55,10 +54,7 @@ def projection_spectrum(pair):
     sv = np.linalg.svd(pair.b1.T @ pair.b2, compute_uv=False)
     if sv.size and sv[0] > 1.0 + 1e-10:
         raise ValidationError(f"cosine {sv[0]} above 1 beyond tolerance")
-    lams = np.clip(sv, 0.0, 1.0) ** 2
-    spectrum = ProjectionSpectrum(lams)
-    spectrum.degenerate = bool(np.all(lams >= ProjectionSpectrum._UNIT))
-    return spectrum
+    return ProjectionSpectrum(np.clip(sv, 0.0, 1.0) ** 2)
 
 
 def multistep_altproj_radius(lam, xi):
@@ -159,12 +155,13 @@ def prescribed_angle_pair(angles, ambient=None, seed=None):
 
 @dataclass
 class RateFit:
-    """Log-linear fit of a residual decay curve."""
+    """Log-linear fit of a residual decay curve, with the trace it fits."""
 
     rate: float
     k_start: int
     k_end: int
-    truncated: bool = False
+    truncated: bool
+    trace: Trace
 
 
 def verify_rate(pair, xi, iterations):
@@ -191,4 +188,4 @@ def verify_rate(pair, xi, iterations):
         raise ValidationError("residual underflowed immediately; nothing to fit")
     slope = np.polyfit(ks[keep], np.log(resid[keep]), 1)[0]
     kept = ks[keep]
-    return RateFit(float(np.exp(slope)), int(kept[0]), int(kept[-1]), truncated)
+    return RateFit(float(np.exp(slope)), int(kept[0]), int(kept[-1]), truncated, trace)

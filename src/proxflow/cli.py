@@ -12,9 +12,9 @@ Subcommands:
 - ``accel``: tuned two-step coefficients with predicted and fitted rates.
 
 Every flag has a config-file equivalent (a flat JSON object); explicit
-flags win over it, and ``DEFAULTS`` fills in what neither sets. A config
-key that names no option of the command, or a value its flag would
-reject, is a usage error.
+flags win over it, and the option table ``OPTIONS``, which declares each
+flag once, fills in what neither sets. A config key that names no option
+of the command, or a value its flag would reject, is a usage error.
 ``PROXFLOW_SEED`` provides the default seed. Exit codes:
 0 success, 2 usage error, 3 numeric divergence (outputs still written),
 4 tolerance failure in ``tables``.
@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .altproj_accel import (
     verify_rate,
 )
 from .experiments import (
+    SPECTRUM_KINDS,
     AxesSpec,
-    altproj_trace,
     emit_csv,
     emit_svg,
     emit_table,
@@ -52,7 +52,7 @@ from .experiments import (
     run_matfac,
 )
 from .multistep import Trace, bdf_coefficients
-from .numerics import seeded_rng
+from .numerics import TOL, seeded_rng
 from .spectral import (
     CompanionSpec,
     beta_scan,
@@ -193,7 +193,7 @@ def _table_rows(spec, reference, only, jobs):
         oracle, passed = "", within
         if not within and not tight:
             oracle = _oracle_check(method, beta, m, computed["computed_alpha"], 1.0, lmax)
-            passed = oracle <= 1e-9
+            passed = oracle <= TOL.companion_discrepancy
         row = {
             "method": method,
             "m": m,
@@ -361,11 +361,12 @@ def cmd_accel(args):
         pair = prescribed_angle_pair([theta, theta, theta], seed=args.seed)
         spectrum = projection_spectrum(pair)
 
-    xi1, xi2 = tuned_xi2(rho)
-    rows = []
-    for label, xi in (("single-step", (1.0,)), ("tuned-2step", (xi1, xi2))):
+    rows, series = [], []
+    for label, xi in (("single-step", (1.0,)), ("tuned-2step", tuned_xi2(rho))):
         predicted = max(multistep_altproj_radius(lam, xi) for lam in spectrum.eigenvalues)
         fit = verify_rate(pair, xi, args.iters)
+        fit.trace.experiment, fit.trace.seed = "altproj_accel", args.seed
+        series.append(fit.trace)
         rows.append(
             {
                 "scheme": label,
@@ -385,9 +386,6 @@ def cmd_accel(args):
         )
     out.mkdir(parents=True, exist_ok=True)
     emit_table(rows, out / "accel.csv")
-    series = [altproj_trace(pair, xi, args.iters) for xi in ((1.0,), (xi1, xi2))]
-    for trace in series:
-        trace.experiment, trace.seed = "altproj_accel", args.seed
     emit_csv(series, out / "accel_traces.csv")
     emit_svg(
         series,
@@ -428,6 +426,86 @@ def _float_list(text):
     return _split_list(text, float)
 
 
+# Run kinds: what an option's defaults are keyed by. ``run`` has one per
+# experiment, and ``accel`` with --angles has no rho default, because the
+# angles determine rho.
+EXPERIMENTS = ("l1", "lsp", "altproj", "matfac")
+RUNS = tuple(f"run {e}" for e in EXPERIMENTS)
+SENSING = ("run l1", "run lsp")
+RUN_KINDS = ("tables", "figure1", *RUNS, "accel", "accel --angles")
+COMMANDS = ("tables", "figure1", "run", "accel")
+
+
+class Option(NamedTuple):
+    """One command-line option, declared once for every command that takes it.
+
+    Every option is None at parse time, so the precedence flag > config
+    file > ``defaults`` is unambiguous and ``run.json`` echoes each value a
+    run used. ``defaults`` maps a run kind to its value; an option with no
+    default for the run kind stays None (the l1/lsp inner step size is
+    computed from the problem). ``dest`` is given only where it is not the
+    flag's name.
+    """
+
+    flag: str
+    commands: tuple
+    type: Optional[Callable] = None
+    defaults: dict = {}
+    help: Optional[str] = None
+    choices: Optional[tuple] = None
+    dest: Optional[str] = None
+
+    @property
+    def attr(self):
+        """The attribute of the parsed arguments that the option sets."""
+        return self.dest or self.flag[2:].replace("-", "_")
+
+
+# Rows are in --help order.
+OPTIONS = (
+    Option("--out", COMMANDS, None, dict.fromkeys(RUN_KINDS, "out"),
+           "output directory (default: out)"),
+    Option("--jobs", COMMANDS, int, dict.fromkeys(RUN_KINDS, 1), "worker pool size"),
+    Option("--config", COMMANDS, help="JSON config file (flags win)"),
+    Option("--seed", COMMANDS, int, help="random seed"),
+    Option("--only", ("tables",), choices=tuple(sorted(METHOD_TAU)),
+           help="restrict to one method"),
+    Option("--tau", ("figure1", "run"), _int_list, dict.fromkeys(("figure1", *RUNS), (1, 2, 3))),
+    Option("--m-list", ("figure1",), _int_list, {"figure1": (1, 4, 20)}),
+    Option("--l-list", ("figure1",), _float_list, {"figure1": (2.0, 10.0)}),
+    Option("--beta", ("run",), float, dict.fromkeys(SENSING, 1.0)),
+    Option("--m", ("run",), int, dict.fromkeys(SENSING, 4)),
+    Option(
+        "--alpha", ("figure1", "run"), float, {"figure1": 1.0, "run matfac": 0.1},
+        "figure1: inner proximal-gradient step size the radii are computed for "
+        "(default 1.0); run l1, lsp: inner proximal-gradient step size (default "
+        "beta / (beta L + 1)); run matfac: proximal weight of each block solve "
+        "(default 0.1); run altproj: unused",
+    ),
+    Option("--beta-min", ("figure1",), float, {"figure1": 0.05}),
+    Option("--beta-max", ("figure1",), float, {"figure1": 50.0}),
+    Option("--beta-points", ("figure1",), int, {"figure1": 25}),
+    Option("--lambda", ("run",), float, {"run l1": 0.01}, dest="lam"),
+    Option("--theta", ("run",), float, {"run lsp": 5.0}),
+    Option("--sigma", ("run",), float, {"run altproj": 0.5}),
+    Option("--rank", ("run",), int, {"run matfac": 10}),
+    Option("--rho", ("accel",), float, {"accel": 0.25}),
+    Option("--angles", ("accel",), _float_list),
+    Option(
+        "--iters", ("run", "accel"), int,
+        {**dict.fromkeys(SENSING, 2000), "run altproj": 300, "run matfac": 300,
+         "accel": 400, "accel --angles": 400},
+    ),
+    Option("--tol", ("run",), float),
+    Option("--p", ("run",), int, {"run l1": 50, "run lsp": 20}),
+    Option("--q", ("run",), int, {"run l1": 100, "run lsp": 50}),
+    Option("--n", ("run",), int, {"run altproj": 500, "run matfac": 100}),
+    Option("--d", ("run",), int, {"run altproj": 400}),
+    Option("--spectrum", ("run",), defaults=dict.fromkeys(RUNS, "uniform"),
+           choices=SPECTRUM_KINDS),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="proxflow",
@@ -436,148 +514,51 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None, help="output directory (default: out)")
-        p.add_argument("--jobs", type=int, default=None, help="worker pool size")
-        p.add_argument("--config", help="JSON config file (flags win)")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-
-    p_tables = sub.add_parser("tables", help="reproduce the stability tables")
-    common(p_tables)
-    p_tables.add_argument(
-        "--only", choices=sorted(METHOD_TAU), help="restrict to one method"
-    )
-    p_tables.set_defaults(func=cmd_tables)
-
-    p_fig = sub.add_parser("figure1", help="radius-vs-beta curves")
-    common(p_fig)
-    p_fig.add_argument("--tau", type=_int_list, default=None)
-    p_fig.add_argument("--m-list", type=_int_list, default=None)
-    p_fig.add_argument("--l-list", type=_float_list, default=None)
-    p_fig.add_argument(
-        "--alpha", type=float, default=None,
-        help="inner proximal-gradient step size the radii are computed for "
-        "(default 1.0)",
-    )
-    p_fig.add_argument("--beta-min", type=float, default=None)
-    p_fig.add_argument("--beta-max", type=float, default=None)
-    p_fig.add_argument("--beta-points", type=int, default=None)
-    p_fig.set_defaults(func=cmd_figure1)
-
-    p_run = sub.add_parser("run", help="application experiments")
-    common(p_run)
-    p_run.add_argument("experiment", choices=["l1", "lsp", "altproj", "matfac"])
-    p_run.add_argument("--tau", type=_int_list, default=None)
-    p_run.add_argument("--beta", type=float, default=None)
-    p_run.add_argument("--m", type=int, default=None)
-    p_run.add_argument(
-        "--alpha", type=float, default=None,
-        help="l1, lsp: inner proximal-gradient step size (default "
-        "beta / (beta L + 1)); matfac: proximal weight of each block solve "
-        "(default 0.1); altproj: unused",
-    )
-    p_run.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_run.add_argument("--theta", type=float, default=None)
-    p_run.add_argument("--sigma", type=float, default=None)
-    p_run.add_argument("--rank", type=int, default=None)
-    p_run.add_argument("--iters", type=int, default=None)
-    p_run.add_argument("--tol", type=float, default=None)
-    p_run.add_argument("--p", type=int, default=None)
-    p_run.add_argument("--q", type=int, default=None)
-    p_run.add_argument("--n", type=int, default=None)
-    p_run.add_argument("--d", type=int, default=None)
-    p_run.add_argument(
-        "--spectrum",
-        choices=["uniform", "inverse_r", "exp_decay"],
-        default=None,
-    )
-    p_run.set_defaults(func=cmd_run)
-
-    p_accel = sub.add_parser("accel", help="tuned alternating projections")
-    common(p_accel)
-    p_accel.add_argument("--rho", type=float, default=None)
-    p_accel.add_argument("--angles", type=_float_list, default=None)
-    p_accel.add_argument("--iters", type=int, default=None)
-    p_accel.set_defaults(func=cmd_accel)
+    for command, func, text in (
+        ("tables", cmd_tables, "reproduce the stability tables"),
+        ("figure1", cmd_figure1, "radius-vs-beta curves"),
+        ("run", cmd_run, "application experiments"),
+        ("accel", cmd_accel, "tuned alternating projections"),
+    ):
+        p = sub.add_parser(command, help=text)
+        if command == "run":
+            p.add_argument("experiment", choices=EXPERIMENTS)
+        for opt in OPTIONS:
+            if command in opt.commands:
+                p.add_argument(
+                    opt.flag, dest=opt.attr, type=opt.type, choices=opt.choices, help=opt.help
+                )
+        p.set_defaults(func=func)
     return parser
 
 
-# Defaults per command, and per experiment for ``run``. Every option is
-# None at parse time, so the precedence flag > config file > this table is
-# unambiguous and ``run.json`` echoes each value a run used. Values computed
-# from the problem (the l1/lsp inner step size) stay None.
-_COMMON = {"out": "out", "jobs": 1}
-_RUN = {**_COMMON, "tau": (1, 2, 3), "spectrum": "uniform"}
-_SENSING = {**_RUN, "beta": 1.0, "m": 4, "iters": 2000}
-DEFAULTS = {
-    "tables": _COMMON,
-    "figure1": {
-        **_COMMON,
-        "tau": (1, 2, 3),
-        "m_list": (1, 4, 20),
-        "l_list": (2.0, 10.0),
-        "alpha": 1.0,
-        "beta_min": 0.05,
-        "beta_max": 50.0,
-        "beta_points": 25,
-    },
-    "run l1": {**_SENSING, "lam": 0.01, "p": 50, "q": 100},
-    "run lsp": {**_SENSING, "theta": 5.0, "p": 20, "q": 50},
-    "run altproj": {**_RUN, "sigma": 0.5, "iters": 300, "n": 500, "d": 400},
-    "run matfac": {**_RUN, "alpha": 0.1, "rank": 10, "iters": 300, "n": 100},
-    "accel": {**_COMMON, "rho": 0.25, "iters": 400},
-    # the angles determine rho
-    "accel --angles": {**_COMMON, "iters": 400},
-}
-
-
-def _command_options(parser, args):
-    """Option actions of the parsed command, keyed by dest and by flag name.
-
-    argparse has no public way to list a parser's actions, hence ``_actions``.
-    ``--help`` sets no dest in ``args``, so it is left out.
-    """
-    (commands,) = [
-        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    options = {}
-    for action in commands[args.command]._actions:
-        if action.option_strings and action.dest in vars(args):
-            options[action.dest] = action
-            options.update((flag.lstrip("-"), action) for flag in action.option_strings)
-    return options
-
-
 def _apply_config(args, parser):
+    options = [opt for opt in OPTIONS if args.command in opt.commands]
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             parser.error("config file must hold a JSON object")
-        options = _command_options(parser, args)
+        # a key is the option's flag name or its dest
+        by_key = {key: opt for opt in options for key in (opt.flag[2:], opt.attr)}
         argv = [args.command] + ([args.experiment] if args.command == "run" else [])
         for key, value in config.items():
-            action = options.get(key, options.get(key.replace("-", "_")))
-            if action is None:
+            if key not in by_key:
                 parser.error(f"config file: {key!r} is not an option of {args.command}")
             if value is not None:
                 text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-                argv.append(f"{action.option_strings[0]}={text}")
+                argv.append(f"{by_key[key].flag}={text}")
         # each value is parsed by its own option, so it fails as the flag would
         from_config = parser.parse_args(argv)
         for dest, value in vars(from_config).items():
             if getattr(args, dest) is None:
                 setattr(args, dest, value)
-    if args.command == "run":
-        defaults = DEFAULTS[f"run {args.experiment}"]
-    elif args.command == "accel" and args.angles is not None:
-        defaults = DEFAULTS["accel --angles"]
-    else:
-        defaults = DEFAULTS[args.command]
-    for dest, value in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+    kind = f"run {args.experiment}" if args.command == "run" else args.command
+    if kind == "accel" and args.angles is not None:
+        kind = "accel --angles"
+    for opt in options:
+        if getattr(args, opt.attr) is None:
+            setattr(args, opt.attr, opt.defaults.get(kind))
 
 
 def main(argv=None):

@@ -21,7 +21,6 @@ class TestProjectionSpectrum:
         pair = gen_subspaces(10, 3, 0.0, 4)
         assert np.allclose(pair.c1, pair.c2)
         spectrum = projection_spectrum(pair)
-        assert spectrum.degenerate
         assert spectrum.rho is None
         assert np.all(spectrum.eigenvalues >= 1 - 1e-10)
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -234,6 +235,69 @@ class TestConfigPrecedence:
               "--d", "4", "--out", str(out)])
         meta = json.loads((out / "run.json").read_text())
         assert meta["config"]["seed"] == 41
+
+
+COMMON_FLAGS = {"--out", "--jobs", "--config", "--seed"}
+RUN_FLAGS = COMMON_FLAGS | {
+    "--tau", "--beta", "--m", "--alpha", "--lambda", "--theta", "--sigma", "--rank",
+    "--iters", "--tol", "--p", "--q", "--n", "--d", "--spectrum",
+}
+# argv and the exact set of flags, per command and per run experiment
+OPTION_SURFACES = {
+    "tables": (["tables"], COMMON_FLAGS | {"--only"}),
+    "figure1": (["figure1"], COMMON_FLAGS | {
+        "--tau", "--m-list", "--l-list", "--alpha", "--beta-min", "--beta-max", "--beta-points",
+    }),
+    **{f"run_{e}": (["run", e], RUN_FLAGS) for e in ("l1", "lsp", "altproj", "matfac")},
+    "accel": (["accel"], COMMON_FLAGS | {"--rho", "--angles", "--iters"}),
+}
+
+
+def _config_keys(flags):
+    """A config key is an option's flag name or its dest."""
+    names = {flag[2:] for flag in flags}
+    return names | {name.replace("-", "_") for name in names} | (
+        {"lam"} if "lambda" in names else set()
+    )
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("name", sorted(OPTION_SURFACES))
+    def test_exact_flags_and_config_keys(self, name, tmp_path, monkeypatch, capsys):
+        import proxflow.cli as cli
+
+        argv, flags = OPTION_SURFACES[name]
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+        assert listed == flags | {"--help"}
+
+        # every key of the command is accepted (null leaves it unset); the
+        # command itself is replaced, since only the options are under test
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", seen.append)
+        cfg = tmp_path / "cfg.json"
+        keys = _config_keys(flags)
+        cfg.write_text(json.dumps(dict.fromkeys(keys)))
+        main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert len(seen) == 1
+
+        # an unknown key or flag, or one of another command, exits 2; a
+        # unique prefix of the command's own flag is that flag
+        others = set().union(*(f for _, f in OPTION_SURFACES.values())) - flags
+        for key in ["bogus", *sorted(_config_keys(others) - keys)]:
+            cfg.write_text(json.dumps({key: None}))
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--config", str(cfg)])
+            assert exc.value.code == 2
+        for flag in ["--bogus", *sorted(others)]:
+            if any(own.startswith(flag) for own in flags):
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "1"])
+            assert exc.value.code == 2
+        assert len(seen) == 1
 
 
 class TestAccel:
