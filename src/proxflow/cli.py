@@ -14,7 +14,12 @@ Subcommands:
 Every flag has a config-file equivalent (a flat JSON object); explicit
 flags win over it, and the option table ``OPTIONS``, which declares each
 flag once, fills in what neither sets. A config key that names no option
-of the command, or a value its flag would reject, is a usage error.
+of the command, a value its flag would reject, or a flag abbreviated to a
+prefix is a usage error. ``tables`` and ``figure1`` compute their
+independent cells and curves on ``--jobs`` forked worker processes
+(default: the CPUs available to the process; never more than there are
+work units), and their ``run.json`` gives the number used as ``workers``;
+``run`` and ``accel`` take ``--jobs`` but run in one process.
 ``PROXFLOW_SEED`` provides the default seed. Exit codes:
 0 success, 2 usage error, 3 numeric divergence (outputs still written),
 4 tolerance failure in ``tables``.
@@ -138,15 +143,17 @@ def _optimal_rate(method, m, beta, lmax):
 class TableSpec(NamedTuple):
     """How one stability table is computed and laid out.
 
-    ``cell`` maps a key of the table's reference dict to (method, m,
-    beta); ``solve(method, m, beta, L)`` returns the computed columns, of
-    which ``computed_<checked>`` is compared with the reference value;
-    ``tight(method, m, beta, L)`` picks the cells held to
-    ``PPM_TOLERANCE`` with no oracle escape (every other cell gets
-    ``BDF_TOLERANCE`` and the companion-simulation oracle, since the
-    multistep reference values carry a known scaling ambiguity).
+    ``reference`` maps a key, which ``cell`` turns into (method, m,
+    beta), to {L: reference value}; ``solve(method, m, beta, L)``
+    returns the computed columns, of which ``computed_<checked>`` is
+    compared with the reference value; ``tight(method, m, beta, L)``
+    picks the cells held to ``PPM_TOLERANCE`` with no oracle escape
+    (every other cell gets ``BDF_TOLERANCE`` and the
+    companion-simulation oracle, since the multistep reference values
+    carry a known scaling ambiguity).
     """
 
+    reference: dict
     cell: Callable
     solve: Callable
     checked: str
@@ -156,81 +163,114 @@ class TableSpec(NamedTuple):
 
 _VERDICT = ("abs_diff", "tolerance", "within_tolerance", "oracle_discrepancy", "row_pass")
 
-TABLE2 = TableSpec(
-    cell=lambda method, beta: (method, 4, beta),
-    solve=_stable_alpha,
-    checked="alpha",
-    tight=lambda method, m, beta, lmax: method == "ppm",
-    columns=("method", "beta", "L", "mu", "m", "computed_alpha", "reference_alpha", *_VERDICT),
-)
-
-TABLE3 = TableSpec(
-    cell=lambda method, m, beta: (method, m, beta),
-    solve=_optimal_rate,
-    checked="rho",
-    tight=lambda *cell: cell in TABLE3_TIGHT_CELLS,
-    columns=(
-        "method", "m", "beta", "L", "mu", "computed_rho", "computed_alpha", "reference_rho",
-        *_VERDICT,
+TABLES = {
+    "table2": TableSpec(
+        reference=TABLE2_REFERENCE,
+        cell=lambda method, beta: (method, 4, beta),
+        solve=_stable_alpha,
+        checked="alpha",
+        tight=lambda method, m, beta, lmax: method == "ppm",
+        columns=(
+            "method", "beta", "L", "mu", "m", "computed_alpha", "reference_alpha", *_VERDICT,
+        ),
     ),
-)
+    "table3": TableSpec(
+        reference=TABLE3_REFERENCE,
+        cell=lambda method, m, beta: (method, m, beta),
+        solve=_optimal_rate,
+        checked="rho",
+        tight=lambda *cell: cell in TABLE3_TIGHT_CELLS,
+        columns=(
+            "method", "m", "beta", "L", "mu", "computed_rho", "computed_alpha", "reference_rho",
+            *_VERDICT,
+        ),
+    ),
+}
 
 
-def _table_rows(spec, reference, only, jobs):
-    cells = [
-        (*spec.cell(*key), lmax, ref)
-        for key, per_l in reference.items()
+def _table_cells(spec, only):
+    return [
+        (spec, *spec.cell(*key), lmax, ref)
+        for key, per_l in spec.reference.items()
         if not only or key[0] == only
         for lmax, ref in per_l.items()
     ]
-    results = _parallel(lambda cell: spec.solve(*cell[:4]), cells, jobs)
-    rows = []
-    for (method, m, beta, lmax, ref), computed in zip(cells, results):
-        tight = spec.tight(method, m, beta, lmax)
-        tol = PPM_TOLERANCE if tight else BDF_TOLERANCE
-        diff = abs(computed["computed_" + spec.checked] - ref)
-        within = diff <= tol
-        oracle, passed = "", within
-        if not within and not tight:
-            oracle = _oracle_check(method, beta, m, computed["computed_alpha"], 1.0, lmax)
-            passed = oracle <= TOL.companion_discrepancy
-        row = {
-            "method": method,
-            "m": m,
-            "beta": beta,
-            "L": lmax,
-            "mu": 1.0,
-            **computed,
-            "reference_" + spec.checked: ref,
-            "abs_diff": diff,
-            "tolerance": tol,
-            "within_tolerance": int(within),
-            "oracle_discrepancy": oracle,
-            "row_pass": int(passed),
-        }
-        rows.append({key: row[key] for key in spec.columns})
-    return rows
+
+
+def _table_row(cell):
+    """One table row: the computed columns and their verdict."""
+    spec, method, m, beta, lmax, ref = cell
+    computed = spec.solve(method, m, beta, lmax)
+    tight = spec.tight(method, m, beta, lmax)
+    tol = PPM_TOLERANCE if tight else BDF_TOLERANCE
+    diff = abs(computed["computed_" + spec.checked] - ref)
+    within = diff <= tol
+    oracle, passed = "", within
+    if not within and not tight:
+        oracle = _oracle_check(method, beta, m, computed["computed_alpha"], 1.0, lmax)
+        passed = oracle <= TOL.companion_discrepancy
+    row = {
+        "method": method,
+        "m": m,
+        "beta": beta,
+        "L": lmax,
+        "mu": 1.0,
+        **computed,
+        "reference_" + spec.checked: ref,
+        "abs_diff": diff,
+        "tolerance": tol,
+        "within_tolerance": int(within),
+        "oracle_discrepancy": oracle,
+        "row_pass": int(passed),
+    }
+    return {key: row[key] for key in spec.columns}
+
+
+# Set in each worker of a _parallel pool by its initializer. The workers
+# are forked, so the function and items are inherited, not pickled; only
+# item indices and results cross between the processes.
+_WORK = None
+
+
+def _init_worker(fn, items):
+    global _WORK
+    _WORK = fn, items
+
+
+def _work_item(index):
+    fn, items = _WORK
+    return fn(items[index])
 
 
 def _parallel(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # imported here: concurrent.futures also loads logging, which a serial
-    # run does not need
-    from concurrent.futures import ThreadPoolExecutor
+    """``[fn(item) for item in items]`` on at most ``jobs`` processes.
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    Returns the results in item order and the number of processes used.
+    With more than one, the workers are forked, so they see the state of
+    this process; the exception of the first failing item in item order
+    is re-raised here, and every worker has exited when this returns.
+    Fork is safe here: the only other thread of a proxflow process is
+    OpenBLAS's, which OpenBLAS stops around a fork.
+    """
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items], 1
+    # imported here: a serial run needs no multiprocessing
+    import multiprocessing
+
+    # leaving the block terminates and joins the workers
+    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (fn, items)) as pool:
+        return list(pool.imap(_work_item, range(len(items)))), workers
 
 
 def cmd_tables(args):
     out = Path(args.out)
-    tables = {
-        "table2": _table_rows(TABLE2, TABLE2_REFERENCE, args.only, args.jobs),
-        "table3": _table_rows(TABLE3, TABLE3_REFERENCE, args.only, args.jobs),
-    }
+    cells = {name: _table_cells(spec, args.only) for name, spec in TABLES.items()}
+    rows, workers = _parallel(_table_row, [c for cs in cells.values() for c in cs], args.jobs)
+    done = iter(rows)
+    tables = {name: [next(done) for _ in cs] for name, cs in cells.items()}
     out.mkdir(parents=True, exist_ok=True)
-    counts, summary = {}, []
+    counts, summary = {"workers": workers}, []
     for name, rows in tables.items():
         emit_table(rows, out / f"{name}.csv")
         # a cell within its tolerance reproduces the paper; a passing cell
@@ -255,12 +295,17 @@ def cmd_figure1(args):
     out = Path(args.out)
     betas = np.geomspace(args.beta_min, args.beta_max, args.beta_points)
     panels = [(lmax, m) for lmax in args.l_list for m in args.m_list]
+    units = [(lmax, m, tau) for lmax, m in panels for tau in args.tau]
 
-    def work(panel):
-        lmax, m = panel
-        return panel, beta_scan(1.0, lmax, [m], args.alpha, args.tau, betas)
+    def work(unit):
+        lmax, m, tau = unit
+        return beta_scan(1.0, lmax, [m], args.alpha, [tau], betas)
 
-    results = _parallel(work, panels, args.jobs)
+    curves, workers = _parallel(work, units, args.jobs)
+    done = iter(curves)
+    # a panel's rows are its taus' curves in --tau order, as beta_scan
+    # over all the taus would give them
+    results = [(panel, [r for _ in args.tau for r in next(done)]) for panel in panels]
     out.mkdir(parents=True, exist_ok=True)
     for (lmax, m), rows in results:
         stem = f"figure1_L{lmax:g}_m{m}"
@@ -285,7 +330,7 @@ def cmd_figure1(args):
                 xlog=True,
             ),
         )
-    _write_metadata(out, "figure1", args, {"panels": len(results)})
+    _write_metadata(out, "figure1", args, {"panels": len(results), "workers": workers})
     print(f"figure1: {len(results)} panels written to {out}")
     return 0
 
@@ -418,6 +463,13 @@ def _split_list(text, cast):
     return values
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int_list(text):
     return _split_list(text, int)
 
@@ -434,6 +486,9 @@ RUNS = tuple(f"run {e}" for e in EXPERIMENTS)
 SENSING = ("run l1", "run lsp")
 RUN_KINDS = ("tables", "figure1", *RUNS, "accel", "accel --angles")
 COMMANDS = ("tables", "figure1", "run", "accel")
+# the CPUs this process may run on: the default worker count of the
+# commands that use the pool
+CPUS = len(os.sched_getaffinity(0))
 
 
 class Option(NamedTuple):
@@ -465,7 +520,10 @@ class Option(NamedTuple):
 OPTIONS = (
     Option("--out", COMMANDS, None, dict.fromkeys(RUN_KINDS, "out"),
            "output directory (default: out)"),
-    Option("--jobs", COMMANDS, int, dict.fromkeys(RUN_KINDS, 1), "worker pool size"),
+    Option("--jobs", COMMANDS, _positive_int,
+           {**dict.fromkeys(RUN_KINDS, 1), "tables": CPUS, "figure1": CPUS},
+           "worker processes for tables and figure1 (default: CPUs available); "
+           "unused by run and accel"),
     Option("--config", COMMANDS, help="JSON config file (flags win)"),
     Option("--seed", COMMANDS, int, help="random seed"),
     Option("--only", ("tables",), choices=tuple(sorted(METHOD_TAU)),
@@ -509,6 +567,7 @@ OPTIONS = (
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="proxflow",
+        allow_abbrev=False,
         description="Multi-step approximate proximal point methods: stability "
         "tables, figures, and application experiments.",
     )
@@ -520,7 +579,7 @@ def build_parser():
         ("run", cmd_run, "application experiments"),
         ("accel", cmd_accel, "tuned alternating projections"),
     ):
-        p = sub.add_parser(command, help=text)
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
         if command == "run":
             p.add_argument("experiment", choices=EXPERIMENTS)
         for opt in OPTIONS:

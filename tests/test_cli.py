@@ -283,8 +283,8 @@ class TestOptionSurface:
         main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert len(seen) == 1
 
-        # an unknown key or flag, or one of another command, exits 2; a
-        # unique prefix of the command's own flag is that flag
+        # an unknown key or flag, or one of another command, exits 2, also
+        # where it is a prefix of the command's own flag (--m of --m-list)
         others = set().union(*(f for _, f in OPTION_SURFACES.values())) - flags
         for key in ["bogus", *sorted(_config_keys(others) - keys)]:
             cfg.write_text(json.dumps({key: None}))
@@ -292,12 +292,129 @@ class TestOptionSurface:
                 main([*argv, "--config", str(cfg)])
             assert exc.value.code == 2
         for flag in ["--bogus", *sorted(others)]:
-            if any(own.startswith(flag) for own in flags):
-                continue
             with pytest.raises(SystemExit) as exc:
                 main([*argv, flag, "1"])
             assert exc.value.code == 2
         assert len(seen) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["figure1", "--m", "4"], ["run", "l1", "--lam", "0.1"], ["tables", "--jo", "1"]],
+        ids=["figure1-m", "run-lam", "tables-jo"],
+    )
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, monkeypatch, argv):
+        import proxflow.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", seen.append)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert seen == []
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+    @pytest.mark.parametrize("command", ["tables", "figure1", "accel"])
+    def test_jobs_not_a_positive_int_is_usage_error(self, tmp_path, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", jobs, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": jobs}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_default_jobs_per_command(self, monkeypatch):
+        import proxflow.cli as cli
+
+        seen = []
+        for command in ("tables", "figure1", "run", "accel"):
+            monkeypatch.setattr(cli, f"cmd_{command}", seen.append)
+        for argv in (["tables"], ["figure1"], ["run", "l1"], ["accel"]):
+            main(argv)
+        assert [args.jobs for args in seen] == [cli.CPUS, cli.CPUS, 1, 1]
+        assert cli.CPUS == len(os.sched_getaffinity(0))
+
+    def test_tables_identical_at_one_and_two_jobs(self, tmp_path):
+        outs = {jobs: tmp_path / f"j{jobs}" for jobs in (1, 2)}
+        for jobs, out in outs.items():
+            assert main(["tables", "--only", "ppm", "--jobs", str(jobs), "--out", str(out)]) == 0
+            assert json.loads((out / "run.json").read_text())["workers"] == jobs
+        for name in ("table2.csv", "table3.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+
+    def test_figure1_identical_at_one_and_two_jobs(self, tmp_path):
+        outs = {jobs: tmp_path / f"j{jobs}" for jobs in (1, 2)}
+        for jobs, out in outs.items():
+            assert main(["figure1", "--jobs", str(jobs), "--out", str(out)]) == 0
+            assert json.loads((out / "run.json").read_text())["workers"] == jobs
+        names = sorted(p.name for p in outs[1].glob("figure1_*"))
+        assert len(names) == 12
+        assert sorted(p.name for p in outs[2].glob("figure1_*")) == names
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+
+    def test_no_more_workers_than_work_units(self, tmp_path):
+        # one panel of two taus is two work units
+        out = tmp_path / "o"
+        assert main(["figure1", "--tau", "1,2", "--m-list", "4", "--l-list", "2",
+                     "--beta-points", "3", "--jobs", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["workers"] == 2
+
+    def test_worker_exception_reraised_in_item_order(self):
+        from proxflow.cli import _parallel
+        from proxflow.multistep import DivergenceError
+
+        def square(i):
+            if i >= 2:
+                raise DivergenceError(f"item {i}")
+            return i * i
+
+        assert _parallel(square, [0, 1], 2) == ([0, 1], 2)
+        assert _parallel(square, [1], 3) == ([1], 1)
+        with pytest.raises(DivergenceError, match=r"^item 2$"):
+            _parallel(square, list(range(5)), 2)
+
+    def test_workers_exit_with_the_command(self, tmp_path):
+        # in a fresh interpreter, which has no other child processes; the
+        # failing figure1 raises in the workers, the failing tables exits 4
+        code = (
+            "import contextlib, io, json, os, sys\n"
+            "import proxflow.cli as cli\n"
+            "def run(argv):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main([*argv, '--out', sys.argv[1]])\n"
+            "    return [code, err.getvalue(), 'multiprocessing' in sys.modules]\n"
+            "bad_alpha = ['figure1', '--alpha', '-1', '--beta-points', '3', '--jobs']\n"
+            "runs = [run([*bad_alpha, '1']), run([*bad_alpha, '2'])]\n"
+            "runs.append(run(['figure1', '--beta-points', '3', '--jobs', '2']))\n"
+            "cli.TABLE2_REFERENCE[('ppm', 1.0)] = {2.0: 0.9, 10.0: 0.9}\n"
+            "runs.append(run(['tables', '--only', 'ppm', '--jobs', '2'])[:1])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    runs.append('child process left')\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "print(json.dumps(runs))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "o")],
+            env=env, check=True, capture_output=True, text=True, timeout=600,
+        )
+        runs = json.loads(proc.stdout)
+        assert "child process left" not in runs
+        serial, pooled, ok, failed = runs
+        # --jobs 1 creates no pool; --jobs 2 re-raises the workers' error
+        assert serial == [2, "error: alpha and beta must be > 0\n", False]
+        assert pooled == [2, serial[1], True]
+        assert ok == [0, "", True]
+        assert failed == [4]
 
 
 class TestAccel:
@@ -383,13 +500,14 @@ def test_stationary_lsp_start_bit_identical_to_snapshot(tmp_path):
 
 def test_import_loads_no_unneeded_modules():
     # xml.sax pulls in urllib.request, http.client, ssl and email, and
-    # concurrent.futures loads logging; a run with --jobs 1 needs none of them
+    # multiprocessing is needed only by a worker pool, and concurrent.futures
+    # loads logging; a run with --jobs 1 needs none of them
     code = (
         "import contextlib, io, json, sys\n"
         "buf = io.StringIO()\n"
         "with contextlib.redirect_stdout(buf):\n"
         "    import proxflow.cli\n"
-        "heavy = ('xml.sax', 'urllib.request', 'concurrent.futures')\n"
+        "heavy = ('xml.sax', 'urllib.request', 'concurrent.futures', 'multiprocessing')\n"
         "print(json.dumps([buf.getvalue(), [m for m in heavy if m in sys.modules]]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
