@@ -15,11 +15,12 @@ Every flag has a config-file equivalent (a flat JSON object); explicit
 flags win over it, and the option table ``OPTIONS``, which declares each
 flag once, fills in what neither sets. A config key that names no option
 of the command, a value its flag would reject, or a flag abbreviated to a
-prefix is a usage error. ``tables`` and ``figure1`` compute their
-independent cells and curves on ``--jobs`` forked worker processes
-(default: the CPUs available to the process; never more than there are
-work units), and their ``run.json`` gives the number used as ``workers``;
-``run`` and ``accel`` take ``--jobs`` but run in one process.
+prefix is a usage error. ``tables``, ``figure1`` and ``run`` compute
+their independent cells, curves and per-tau runs (and the F* reference
+of ``run l1``) on ``--jobs`` forked worker processes (default: the CPUs
+available to the process; never more than there are work units), and
+their ``run.json`` gives the number used as ``workers``; ``accel`` takes
+``--jobs`` but runs in one process.
 ``PROXFLOW_SEED`` provides the default seed. Exit codes:
 0 success, 2 usage error, 3 numeric divergence (outputs still written),
 4 tolerance failure in ``tables``.
@@ -248,19 +249,26 @@ def _parallel(fn, items, jobs):
     Returns the results in item order and the number of processes used.
     With more than one, the workers are forked, so they see the state of
     this process; the exception of the first failing item in item order
-    is re-raised here, and every worker has exited when this returns.
-    Fork is safe here: the only other thread of a proxflow process is
-    OpenBLAS's, which OpenBLAS stops around a fork.
+    is re-raised here, a worker that dies raises ``BrokenProcessPool``,
+    and every worker has exited when this returns or raises. Fork is safe
+    here: the workers are forked before the pool starts its threads, and
+    OpenBLAS stops its own around a fork.
     """
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items], 1
-    # imported here: a serial run needs no multiprocessing
+    # imported here: a serial run needs no process pool
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    # leaving the block terminates and joins the workers
-    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (fn, items)) as pool:
-        return list(pool.imap(_work_item, range(len(items)))), workers
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), _init_worker, (fn, items)
+    )
+    try:
+        return list(pool.map(_work_item, range(len(items)))), workers
+    finally:
+        # after a failure the items not yet started are dropped
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_tables(args):
@@ -337,13 +345,19 @@ def cmd_figure1(args):
 
 def cmd_run(args):
     out = Path(args.out)
-    extra = {}
+    workers = 1
 
+    def pooled(fn, units):
+        nonlocal workers
+        results, workers = _parallel(fn, units, args.jobs)
+        return results
+
+    extra = {}
     if args.experiment == "l1":
         problem = gen_sensing(args.p, args.q, args.spectrum, args.seed)
         result = run_l1(
             problem, args.lam, args.tau, args.beta, args.m, args.iters,
-            stop_tol=args.tol, inner_alpha=args.alpha,
+            stop_tol=args.tol, inner_alpha=args.alpha, mapper=pooled,
         )
         extra["f_star"] = result.f_star
         traces = result.traces
@@ -352,18 +366,18 @@ def cmd_run(args):
         problem = gen_sensing(args.p, args.q, args.spectrum, args.seed)
         traces = run_lsp(
             problem, args.theta, args.tau, args.beta, args.m, args.iters,
-            stop_tol=args.tol, inner_alpha=args.alpha,
+            stop_tol=args.tol, inner_alpha=args.alpha, mapper=pooled,
         ).traces
         axes = AxesSpec(
             "lsp stationarity", "iteration", "epsilon_beta", "epsilon_beta"
         )
     elif args.experiment == "altproj":
         pair = gen_subspaces(args.n, args.d, args.sigma, args.seed)
-        traces = run_altproj(pair, args.tau, args.iters)
+        traces = run_altproj(pair, args.tau, args.iters, pooled)
         axes = AxesSpec("alternating projections", "iteration", "residual", "residual")
     elif args.experiment == "matfac":
         problem = gen_matfac(args.n, args.rank, args.alpha, args.seed)
-        traces = run_matfac(problem, args.tau, args.iters)
+        traces = run_matfac(problem, args.tau, args.iters, pooled)
         axes = AxesSpec("matrix factorization", "iteration", "objective", "objective")
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.experiment)
@@ -377,6 +391,7 @@ def cmd_run(args):
         axes.ylog = False
     diverged = any(s.diverged for s in series)
     extra["fixed_at"] = {str(s.tau): s.fixed_at for s in series}
+    extra["workers"] = workers
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(series, out / f"{args.experiment}_traces.csv")
     emit_svg(series, out / f"{args.experiment}.svg", axes)
@@ -521,9 +536,9 @@ OPTIONS = (
     Option("--out", COMMANDS, None, dict.fromkeys(RUN_KINDS, "out"),
            "output directory (default: out)"),
     Option("--jobs", COMMANDS, _positive_int,
-           {**dict.fromkeys(RUN_KINDS, 1), "tables": CPUS, "figure1": CPUS},
-           "worker processes for tables and figure1 (default: CPUs available); "
-           "unused by run and accel"),
+           {**dict.fromkeys(RUN_KINDS, CPUS), "accel": 1, "accel --angles": 1},
+           "worker processes for tables, figure1 and run (default: CPUs "
+           "available); unused by accel"),
     Option("--config", COMMANDS, help="JSON config file (flags win)"),
     Option("--seed", COMMANDS, int, help="random seed"),
     Option("--only", ("tables",), choices=tuple(sorted(METHOD_TAU)),

@@ -167,16 +167,13 @@ def reference_optimum(problem, lam, beta):
     return best
 
 
-def _sensing_run(objective, taus, beta, m, iterations, x0, inner_alpha, **kwargs):
-    """One ``run`` per BDF order; a diverged run keeps its partial trace."""
-    traces = {}
-    for tau in taus:
-        cfg = MultistepConfig.bdf(tau, beta, inner_m=m, inner_alpha=inner_alpha)
-        try:
-            traces[tau] = run(objective, cfg, x0, iterations, **kwargs)
-        except DivergenceError as err:
-            traces[tau] = err.trace
-    return traces
+def _sensing_trace(objective, tau, beta, m, iterations, x0, inner_alpha, **kwargs):
+    """One ``run`` of BDF order ``tau``; a diverged run keeps its partial trace."""
+    cfg = MultistepConfig.bdf(tau, beta, inner_m=m, inner_alpha=inner_alpha)
+    try:
+        return run(objective, cfg, x0, iterations, **kwargs)
+    except DivergenceError as err:
+        return err.trace
 
 
 @dataclass
@@ -186,36 +183,61 @@ class SensingResult:
 
 
 def run_l1(
-    problem, lam, taus, beta, m, iterations, stop_tol=None, f_star=None, inner_alpha=None
+    problem, lam, taus, beta, m, iterations, stop_tol=None, f_star=None, inner_alpha=None,
+    mapper=map,
 ):
-    """l1-penalized sensing runs from x = 0, one trace per BDF order in ``taus``."""
+    """l1-penalized sensing runs from x = 0, one trace per BDF order in ``taus``.
+
+    ``mapper(fn, items)`` maps the work units in item order, as the
+    builtin ``map`` (the default) does. Without ``f_star``,
+    ``reference_optimum`` gives F*: before the taus when ``stop_tol`` stops
+    them on the objective gap, otherwise as a first unit next to them,
+    after which each tau's "objective_gap" is filled in from its
+    "objective".
+    """
     objective = lasso_objective(problem, lam)
     x0 = np.zeros(problem.a.shape[1])
-    if f_star is None:
+    if f_star is None and stop_tol is not None:
         f_star = reference_optimum(problem, lam, beta)
-    traces = _sensing_run(
-        objective, taus, beta, m, iterations, x0, inner_alpha,
-        stop_tol=stop_tol, stop_metric="objective_gap", f_star=f_star,
-    )
-    return SensingResult(traces, f_star)
+
+    def unit(tau):
+        if tau is None:
+            return reference_optimum(problem, lam, beta)
+        return _sensing_trace(
+            objective, tau, beta, m, iterations, x0, inner_alpha, stop_tol=stop_tol,
+            stop_metric=None if stop_tol is None else "objective_gap", f_star=f_star,
+        )
+
+    # None is the reference run, the longest unit, so it starts first
+    results = list(mapper(unit, list(taus) if f_star is not None else [None, *taus]))
+    if f_star is None:
+        f_star = results.pop(0)
+        for trace in results:
+            # the subtraction ``run`` makes when it is given f_star
+            trace.metrics["objective_gap"] = [
+                (k, value - f_star) for k, value in trace.metrics["objective"]
+            ]
+    return SensingResult(dict(zip(taus, results)), f_star)
 
 
 def run_lsp(
     problem, theta, taus, beta, m, iterations, stop_tol=None, stat_every=25,
-    inner_alpha=None,
+    inner_alpha=None, mapper=map,
 ):
-    """Log-sum-penalized sensing runs from x = 0; traces record the
-    stationarity measure (the objective gap is not meaningful without
-    convexity)."""
+    """Log-sum-penalized sensing runs from x = 0, one per tau through
+    ``mapper`` (see ``run_l1``); traces record the stationarity measure
+    (the objective gap is not meaningful without convexity)."""
     objective = lsp_objective(problem, theta)
     x0 = np.zeros(problem.a.shape[1])
-    traces = _sensing_run(
-        objective, taus, beta, m, iterations, x0, inner_alpha,
-        stop_tol=stop_tol,
-        stop_metric="epsilon_beta" if stop_tol is not None else None,
-        stat_every=stat_every,
-    )
-    return SensingResult(traces, None)
+
+    def unit(tau):
+        return _sensing_trace(
+            objective, tau, beta, m, iterations, x0, inner_alpha, stop_tol=stop_tol,
+            stop_metric="epsilon_beta" if stop_tol is not None else None,
+            stat_every=stat_every,
+        )
+
+    return SensingResult(dict(zip(taus, mapper(unit, taus))), None)
 
 
 @dataclass
@@ -295,13 +317,14 @@ def altproj_trace(pair, xi, iterations, x0=None):
         return err.trace
 
 
-def run_altproj(pair, taus, iterations):
-    """Alternating-projection traces, one per BDF order in ``taus``."""
-    traces = {}
-    for tau in taus:
-        xi, _ = bdf_coefficients(tau)
-        traces[tau] = altproj_trace(pair, tuple(xi), iterations)
-    return traces
+def run_altproj(pair, taus, iterations, mapper=map):
+    """Alternating-projection traces, one per BDF order in ``taus``,
+    through ``mapper`` (see ``run_l1``)."""
+
+    def unit(tau):
+        return altproj_trace(pair, tuple(bdf_coefficients(tau)[0]), iterations)
+
+    return dict(zip(taus, mapper(unit, taus)))
 
 
 @dataclass
@@ -373,13 +396,14 @@ def matfac_trace(problem, xi, iterations, factors0=None):
         return err.trace
 
 
-def run_matfac(problem, taus, iterations):
-    """Matrix-factorization traces, one per BDF order in ``taus``."""
-    traces = {}
-    for tau in taus:
-        xi, _ = bdf_coefficients(tau)
-        traces[tau] = matfac_trace(problem, tuple(xi), iterations)
-    return traces
+def run_matfac(problem, taus, iterations, mapper=map):
+    """Matrix-factorization traces, one per BDF order in ``taus``, through
+    ``mapper`` (see ``run_l1``)."""
+
+    def unit(tau):
+        return matfac_trace(problem, tuple(bdf_coefficients(tau)[0]), iterations)
+
+    return dict(zip(taus, mapper(unit, taus)))
 
 
 # ---------------------------------------------------------------------------

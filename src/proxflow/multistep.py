@@ -218,7 +218,7 @@ class Trace:
     hold one entry per accepted state, and ``state`` is the last accepted
     state (a tuple of blocks). ``fixed_at`` is the first step accepted
     without calling the step map (see ``iterate``), or None.
-    ``iterates`` and ``inner_steps`` are filled by ``run`` only.
+    ``inner_steps`` is filled by ``run`` only.
     ``experiment`` and ``seed`` label the CSV rows.
     """
 
@@ -229,7 +229,6 @@ class Trace:
     metrics: dict = field(default_factory=dict)
     walltime_s: list = field(default_factory=list)
     inner_steps: list = field(default_factory=list)
-    iterates: list = field(default_factory=list)
     state: Optional[tuple] = None
     diverged: bool = False
     diverged_at: Optional[int] = None
@@ -351,11 +350,13 @@ def run(
     is None) on the mixed iterate. The trace records the metrics
     "objective", "objective_gap" (when ``f_star`` is given),
     "iterate_error" (when the minimizer is known) and "epsilon_beta"
-    (every ``stat_every`` iterations when that is > 0), and keeps every
-    iterate. ``inner_steps`` counts the inner steps each outer step ran:
-    none from ``trace.fixed_at`` on. Stops early when ``stop_metric`` (one of those metric names)
-    drops to ``stop_tol``; ``stop_metric`` may instead be a predicate on
-    the trace, which stops the run when it returns true.
+    (every ``stat_every`` iterations when that is > 0); ``trace.state``
+    holds the last iterate. ``inner_steps`` counts the inner steps each
+    outer step ran: none from ``trace.fixed_at`` on. Stops early when
+    ``stop_metric`` (one of those metric names) drops to ``stop_tol``;
+    ``stop_metric`` may instead be a predicate on the trace, called after
+    each step (``trace.state`` is then that step's iterate), which stops
+    the run when it returns true.
     Divergence (non-finite iterate or norm above ``TOL.divergence_norm``)
     raises DivergenceError carrying the partial trace.
     """
@@ -395,7 +396,6 @@ def run(
 
     def record(trace, k, state):
         x = state[0]
-        trace.iterates.append(x)
         trace.inner_steps.append(inner if k and trace.fixed_at is None else 0)
         value = value_of(x)
         trace.add("objective", k, value)

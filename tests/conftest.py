@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proxflow.multistep import run
 from proxflow.numerics import seeded_rng
 
 
@@ -22,3 +23,18 @@ def random_symmetric_with_spectrum(rng, eigs):
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     m = q @ np.diag(eigs) @ q.T
     return 0.5 * (m + m.T)
+
+
+def run_states(objective, cfg, x0, iterations, **kwargs):
+    """``multistep.run`` and the first block of every iterate, x0 included.
+
+    The iterates are collected by a stop predicate that never stops.
+    """
+    states = [x0]
+
+    def collect(trace):
+        states.append(trace.state[0])
+        return False
+
+    trace = run(objective, cfg, x0, iterations, stop_metric=collect, **kwargs)
+    return trace, states

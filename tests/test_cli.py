@@ -336,7 +336,7 @@ class TestJobs:
             monkeypatch.setattr(cli, f"cmd_{command}", seen.append)
         for argv in (["tables"], ["figure1"], ["run", "l1"], ["accel"]):
             main(argv)
-        assert [args.jobs for args in seen] == [cli.CPUS, cli.CPUS, 1, 1]
+        assert [args.jobs for args in seen] == [cli.CPUS, cli.CPUS, cli.CPUS, 1]
         assert cli.CPUS == len(os.sched_getaffinity(0))
 
     def test_tables_identical_at_one_and_two_jobs(self, tmp_path):
@@ -417,6 +417,166 @@ class TestJobs:
         assert failed == [4]
 
 
+# small instances of each experiment, with no diverged or stopped tau
+RUN_SMALL = {
+    "l1": ["--p", "20", "--q", "40", "--iters", "300"],
+    "lsp": ["--p", "10", "--q", "25", "--iters", "200"],
+    "altproj": ["--n", "40", "--d", "10", "--iters", "60"],
+    "matfac": ["--n", "20", "--rank", "4", "--iters", "60"],
+}
+
+
+def _run_outputs(out, experiment):
+    """run.json without workers and jobs, the walltime-free trace digest
+    and the SVG bytes."""
+    meta = json.loads((out / "run.json").read_text())
+    meta.pop("workers")
+    meta["config"].pop("jobs")
+    return meta, _trace_digest(out / f"{experiment}_traces.csv"), (
+        out / f"{experiment}.svg"
+    ).read_bytes()
+
+
+def _trace_rows(path, metric):
+    """{tau: [(k, value, diverged flag)]} of one metric of a trace CSV."""
+    rows = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            if row["metric_name"] == metric:
+                rows.setdefault(int(row["tau"]), []).append(
+                    (int(row["k"]), float(row["metric_value"]), int(row["diverged"]))
+                )
+    return rows
+
+
+class TestRunJobs:
+    """``run`` computes its taus (and F* of l1) on the fork pool."""
+
+    @pytest.mark.parametrize("experiment", sorted(RUN_SMALL))
+    def test_identical_at_one_and_two_jobs(self, tmp_path, experiment):
+        # the same --out, so run.json's config differs only in jobs
+        out, seen = tmp_path / "o", {}
+        for jobs in (1, 2):
+            argv = ["run", experiment, *RUN_SMALL[experiment], "--jobs", str(jobs)]
+            assert main([*argv, "--out", str(out)]) == 0
+            assert json.loads((out / "run.json").read_text())["workers"] == jobs
+            seen[jobs] = _run_outputs(out, experiment)
+        assert seen[1] == seen[2]
+
+    @pytest.mark.parametrize(
+        "argv, jobs, workers",
+        [
+            (["l1", "--tau", "1"], 3, 2),  # the reference run and one tau
+            (["l1", "--tau", "1", "--tol", "1e-3"], 2, 1),  # F* first, then one tau
+            (["lsp", "--tau", "1,2,3"], 2, 2),
+            (["altproj", "--tau", "1,2,3"], 4, 3),
+            (["matfac", "--tau", "2"], 4, 1),
+        ],
+        ids=["l1", "l1-tol", "lsp", "altproj", "matfac"],
+    )
+    def test_workers_are_jobs_capped_by_units(self, tmp_path, argv, jobs, workers):
+        out = tmp_path / "o"
+        small = RUN_SMALL[argv[0]]
+        assert main(["run", *argv, *small, "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["workers"] == workers
+
+    def test_l1_tol_stops_each_tau_on_the_gap_to_f_star(self, tmp_path):
+        from proxflow.experiments import gen_sensing, reference_optimum
+
+        f_star = reference_optimum(gen_sensing(20, 40, "uniform", 0), 0.01, 1.0)
+        out, seen = tmp_path / "o", {}
+        for jobs in (1, 2):
+            argv = ["run", "l1", "--p", "20", "--q", "40", "--tol", "1e-6", "--jobs", str(jobs)]
+            assert main([*argv, "--out", str(out)]) == 0
+            assert json.loads((out / "run.json").read_text())["f_star"] == f_star
+            gaps = _trace_rows(out / "l1_traces.csv", "objective_gap")
+            assert sorted(gaps) == [1, 2, 3]
+            for rows in gaps.values():
+                # the run stops at the first gap at or below the tolerance
+                assert rows[-1][0] < 2000 and rows[-1][1] <= 1e-6
+                assert all(value > 1e-6 for _, value, _ in rows[:-1])
+            seen[jobs] = _run_outputs(out, "l1")
+        assert seen[1] == seen[2]
+
+    def test_diverged_taus_exit_3_with_partial_traces(self, tmp_path):
+        out, seen = tmp_path / "o", {}
+        for jobs in (1, 2):
+            argv = ["run", "l1", "--tau", "1,2", "--iters", "40", "--alpha", "1e8",
+                    "--p", "10", "--q", "20", "--jobs", str(jobs)]
+            assert main([*argv, "--out", str(out)]) == 3
+            gaps = _trace_rows(out / "l1_traces.csv", "objective_gap")
+            for rows in gaps.values():
+                assert rows[-1][0] < 40 and rows[-1][2] == 1
+            assert sorted(gaps) == [1, 2]
+            seen[jobs] = _run_outputs(out, "l1")
+        assert seen[1] == seen[2]
+
+    def test_workers_exit_with_the_command(self, tmp_path):
+        # in a fresh interpreter, which has no other child processes: exit
+        # 0, a usage error raised by the reference unit (2) and divergence (3)
+        code = (
+            "import contextlib, io, json, os, sys\n"
+            "import proxflow.cli as cli\n"
+            "def run(argv):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+            "        argv = ['run', 'l1', '--p', '10', '--q', '20', '--iters', '40', *argv]\n"
+            "        code = cli.main([*argv, '--jobs', '2', '--out', sys.argv[1]])\n"
+            "    return [code, err.getvalue()]\n"
+            "runs = [run([]), run(['--beta', '-1']), run(['--alpha', '1e8'])]\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    runs.append('child process left')\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "print(json.dumps(runs))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "o")],
+            env=env, check=True, capture_output=True, text=True, timeout=600,
+        )
+        assert json.loads(proc.stdout) == [
+            [0, ""], [2, "error: beta must be > 0, got -1.0\n"], [3, ""]
+        ]
+
+    def test_killed_worker_raises_instead_of_hanging(self, tmp_path):
+        # a unit that kills its own worker, as an OOM kill would, breaks the
+        # pool: _parallel and the command raise, and no worker is left
+        code = (
+            "import json, os, signal, sys\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "import proxflow.cli as cli\n"
+            "import proxflow.experiments as experiments\n"
+            "def unit(i):\n"
+            "    if i == 1:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return i\n"
+            "def raised(call):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except BrokenProcessPool:\n"
+            "        return True\n"
+            "    return False\n"
+            "runs = [raised(lambda: cli._parallel(unit, [0, 1, 2, 3], 2))]\n"
+            "experiments.altproj_trace = lambda pair, xi, iterations: unit(len(xi))\n"
+            "argv = ['run', 'altproj', '--n', '16', '--d', '4', '--jobs', '2']\n"
+            "runs.append(raised(lambda: cli.main([*argv, '--out', sys.argv[1]])))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    runs.append('child process left')\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "print(json.dumps(runs))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "o")],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        )
+        assert json.loads(proc.stdout) == [True, True]
+
+
 class TestAccel:
     def test_rho_quarter(self, tmp_path, capsys):
         out = tmp_path / "acc"
@@ -467,27 +627,34 @@ def _trace_digest(path):
     return h.hexdigest()
 
 
-def _assert_trace_matches_snapshot(name, seed, out):
-    # the benchmark snapshot's single-thread digests; OpenBLAS gives
-    # bit-different traces at other thread counts
+def _assert_trace_matches_snapshot(name, seed, out, threads=1):
+    # the benchmark snapshot's digests at this many BLAS threads; OpenBLAS
+    # gives bit-different traces at 1 and 2
     args, trace_file = SEEDED[name]
     env = {k: v for k, v in os.environ.items() if not k.startswith("PROXFLOW_")}
     env["PYTHONPATH"] = str(ROOT / "src")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+        env[var] = str(threads)
     subprocess.run(
         [sys.executable, "-m", "proxflow.cli", *args, "--seed", str(seed),
          "--out", str(out)],
         env=env, check=True, capture_output=True, timeout=600,
     )
     snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
-    want = snapshot["seeded"]["1"][name][str(seed)]["digest"]
+    want = snapshot["seeded"][str(threads)][name][str(seed)]["digest"]
     assert _trace_digest(out / trace_file) == want
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED))
 def test_seed0_trace_bit_identical_to_snapshot(name, tmp_path):
     _assert_trace_matches_snapshot(name, 0, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SEEDED if n.startswith("run_")))
+def test_seed0_trace_bit_identical_to_snapshot_at_two_blas_threads(name, tmp_path):
+    # the forked workers of run (default --jobs) keep the parent's BLAS
+    # thread count, and so its bits
+    _assert_trace_matches_snapshot(name, 0, tmp_path, threads=2)
 
 
 def test_stationary_lsp_start_bit_identical_to_snapshot(tmp_path):

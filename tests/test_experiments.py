@@ -24,8 +24,10 @@ from proxflow.experiments import (
     run_lsp,
     run_matfac,
 )
-from proxflow.multistep import approx_prox, epsilon_stationarity, mix
+from proxflow.multistep import MultistepConfig, approx_prox, epsilon_stationarity, mix
 from proxflow.numerics import RankError, ValidationError, orthonormal_basis, seeded_rng
+
+from conftest import run_states
 
 
 class TestGenSensing:
@@ -78,7 +80,7 @@ class TestRunL1:
         result = run_l1(problem, 0.0, [1], beta=1e8, m=None, iterations=1, f_star=0.0)
         trace = result.traces[1]
         assert trace.values("objective")[-1] <= 1e-12
-        assert np.linalg.norm(trace.iterates[-1] - b) <= 1e-6
+        assert np.linalg.norm(trace.state[0] - b) <= 1e-6
 
     def test_uniform_seed7_both_orders_converge(self):
         problem = gen_sensing(50, 100, "uniform", 7)
@@ -97,30 +99,42 @@ class TestRunL1:
             hits[tau] = next(k for k, g in zip(trace.ks, gaps) if g <= 1e-6)
         assert hits[2] <= hits[1]
 
+    def test_gap_filled_in_after_the_runs_has_the_bits_of_a_known_f_star(self):
+        # without f_star the reference runs next to the taus, and each gap is
+        # filled in afterwards
+        problem = gen_sensing(20, 40, "uniform", 5)
+        result = run_l1(problem, 0.01, [1, 2, 3], 1.0, 4, 400)
+        known = run_l1(problem, 0.01, [1, 2, 3], 1.0, 4, 400, f_star=result.f_star)
+        for tau, trace in result.traces.items():
+            assert trace.metrics == known.traces[tau].metrics
+            assert len(trace.metrics["objective_gap"]) == 401
+
     def test_trace_replay_consistency(self):
-        # every recorded iterate reproduces from its predecessors
+        # every iterate of run_l1's bdf2 run reproduces from its predecessors
         problem = gen_sensing(20, 40, "uniform", 4)
         result = run_l1(problem, 0.05, [2], 1.0, 4, 30, f_star=0.0)
-        trace = result.traces[2]
         objective = lasso_objective(problem, 0.05)
+        trace, states = run_states(
+            objective, MultistepConfig.bdf(2, 1.0, inner_m=4), np.zeros(40), 30, f_star=0.0
+        )
+        assert trace.metrics == result.traces[2].metrics
         alpha = 1.0 / (objective.smoothness + 1.0)
         for k in (5, 12, 25):
-            history = trace.iterates[k - 2 : k]
+            history = states[k - 2 : k]
             x_mix = mix(history, (-1 / 3, 4 / 3))
             replay = approx_prox(objective, x_mix, history[-1], 1.0, 4, alpha)
-            assert np.array_equal(replay, trace.iterates[k])
+            assert np.array_equal(replay, states[k])
 
 
 class TestRunLsp:
     def test_large_theta_matches_l1_after_rescaling(self):
         problem = gen_sensing(20, 50, "uniform", 3)
         theta = 1e4
-        l1 = run_l1(problem, 1.0 / theta, [2], 1.0, 4, 100, f_star=0.0)
-        lsp = run_lsp(problem, theta, [2], 1.0, 4, 100, stat_every=0)
-        worst = max(
-            np.linalg.norm(a - b)
-            for a, b in zip(l1.traces[2].iterates, lsp.traces[2].iterates)
-        )
+        cfg = MultistepConfig.bdf(2, 1.0, inner_m=4)
+        x0 = np.zeros(50)
+        _, l1 = run_states(lasso_objective(problem, 1.0 / theta), cfg, x0, 100)
+        _, lsp = run_states(lsp_objective(problem, theta), cfg, x0, 100)
+        worst = max(np.linalg.norm(a - b) for a, b in zip(l1, lsp))
         assert worst <= 1e-3
 
     def test_stationarity_regression_seed11(self):

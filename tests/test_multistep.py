@@ -29,7 +29,7 @@ from proxflow.multistep import (
 from proxflow.numerics import TOL, ValidationError, seeded_rng
 from proxflow.prox_ops import QuadraticProblem, prox_l1, prox_lsp, prox_quadratic
 
-from conftest import random_spd, random_symmetric_with_spectrum
+from conftest import random_spd, random_symmetric_with_spectrum, run_states
 
 
 class TestBdfCoefficients:
@@ -182,7 +182,7 @@ class TestRun:
         x0 = rng.standard_normal(3)
         trace = run(objective, MultistepConfig.bdf(1, 1.0), x0, 0)
         assert trace.ks == [0]
-        assert np.array_equal(trace.iterates[-1], x0)
+        assert np.array_equal(trace.state[0], x0)
 
     def test_exact_ppm_halves_error(self, rng):
         # mu = L = 1 so every eigendirection contracts by exactly 1/2
@@ -238,8 +238,9 @@ class TestRun:
         x_star = np.zeros(3)
         for warmup in ("ramp", "repeat"):
             cfg = MultistepConfig.bdf(3, 1.0, inner_m=None, warmup=warmup)
-            trace = run(objective, cfg, x_star, 8)
-            for it in trace.iterates:
+            _, states = run_states(objective, cfg, x_star, 8)
+            assert len(states) == 9
+            for it in states:
                 assert np.linalg.norm(it - x_star) <= 1e-12
 
     def test_record_count_is_iterations_plus_one(self, rng):
@@ -405,12 +406,12 @@ class TestWeaklyConvexBound:
         beta = 0.5 * (1.0 - delta) / (-mu)  # below the step-size cap
         cfg = MultistepConfig.bdf(2, beta, inner_m=None, warmup="repeat")
         x0 = np.array([2.5])
-        trace = run(objective, cfg, x0, 60, stat_every=1)
+        trace, states = run_states(objective, cfg, x0, 60, stat_every=1)
         eps = dict(trace.metrics["epsilon_beta"])
         f_tau = trace.values("objective")[2]
         f_star = 0.0
         warm = sum(
-            np.linalg.norm(trace.iterates[s + 1] - trace.iterates[s]) ** 2
+            np.linalg.norm(states[s + 1] - states[s]) ** 2
             for s in range(2)
         )
         for k in range(3, 61):
@@ -686,4 +687,10 @@ class TestFixedPointMatchesFormerEngine:
         for t in traces.values():
             assert len(t.metrics["epsilon_beta"]) == 81
             assert t.values("epsilon_beta") == [0.0] * 81
-            assert all(x is t.iterates[1] for x in t.iterates[1:])
+        # from step 1 on, every iterate is one state object
+        problem = experiments.gen_sensing(20, 50, "uniform", 1)
+        objective = experiments.lsp_objective(problem, 5.0)
+        for tau in (1, 2, 3):
+            cfg = MultistepConfig.bdf(tau, 1.0, inner_m=4)
+            _, states = run_states(objective, cfg, np.zeros(50), 2000)
+            assert all(x is states[1] for x in states[1:])
