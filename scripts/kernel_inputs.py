@@ -1,0 +1,100 @@
+"""Record the root-modulus kernel inputs of proxflow commands, and replay them.
+
+    PYTHONPATH=src python3 scripts/kernel_inputs.py record DIR
+        Runs ``tables`` and ``figure1 --tau 1,2,3,4 --beta-points 100``
+        with ``--jobs 1``, so that every kernel call happens in this
+        process, and writes each command's calls to DIR/<command>.npz.
+        Prints, per command and degree, the kernel calls, rows and rows
+        per call.
+    PYTHONPATH=src python3 scripts/kernel_inputs.py replay DIR [--backend B] [--save FILE]
+        Calls the kernel again on every recorded call, in the recorded
+        order and batches, and prints the time per command. ``--save``
+        writes the radii, one array per command, for a bitwise comparison
+        with another backend or version.
+"""
+
+import argparse
+import sys
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+from proxflow import _kernels, cli
+
+COMMANDS = {
+    "tables": ["tables"],
+    "figure1": ["figure1", "--tau", "1,2,3,4", "--beta-points", "100"],
+}
+
+
+def record(out):
+    out.mkdir(parents=True, exist_ok=True)
+    kernel = _kernels.max_root_modulus_batch
+    for name, argv in COMMANDS.items():
+        calls = []
+
+        def recording(coeffs, backend=None):
+            calls.append(np.array(coeffs, dtype=float))
+            return kernel(coeffs, backend)
+
+        _kernels.max_root_modulus_batch = recording
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                cli.main([*argv, "--jobs", "1", "--out", tmp])
+        finally:
+            _kernels.max_root_modulus_batch = kernel
+        np.savez(out / f"{name}.npz", **{f"call{i:05d}": c for i, c in enumerate(calls)})
+        summarize(name, calls)
+
+
+def summarize(name, calls):
+    per_degree = defaultdict(list)
+    for c in calls:
+        per_degree[c.shape[1]].append(c.shape[0])
+    for degree, sizes in sorted(per_degree.items()):
+        print(
+            f"{name} degree {degree}: {len(sizes)} calls, {sum(sizes)} rows, "
+            f"{sum(sizes) / len(sizes):.1f} rows per call"
+        )
+
+
+def load(path):
+    with np.load(path) as data:
+        return [data[key] for key in sorted(data.files)]
+
+
+def replay(directory, backend, save):
+    radii = {}
+    for name in COMMANDS:
+        calls = load(directory / f"{name}.npz")
+        start = time.perf_counter()
+        got = [_kernels.max_root_modulus_batch(c, backend=backend) for c in calls]
+        elapsed = time.perf_counter() - start
+        radii[name] = np.concatenate(got)
+        print(f"{name}: {len(calls)} calls, {radii[name].size} rows, {elapsed:.3f} s")
+    if save:
+        np.savez(save, **radii)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="action", required=True)
+    rec = sub.add_parser("record")
+    rec.add_argument("dir", type=Path)
+    rep = sub.add_parser("replay")
+    rep.add_argument("dir", type=Path)
+    rep.add_argument("--backend", choices=["native", "fallback"])
+    rep.add_argument("--save", type=Path)
+    args = parser.parse_args(argv)
+    if args.action == "record":
+        record(args.dir)
+    else:
+        replay(args.dir, args.backend, args.save)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

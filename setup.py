@@ -20,7 +20,9 @@ if os.environ.get("PROXFLOW_NO_NATIVE") != "1":
                 Extension(
                     "proxflow._kernels._native",
                     ["src/proxflow/_kernels/_native.pyx"],
-                    extra_compile_args=["-O3"],
+                    # no fused multiply-add, so that the kernel has the
+                    # bits of its numpy twin
+                    extra_compile_args=["-O3", "-ffp-contract=off"],
                 )
             ],
             compiler_directives={"language_level": "3"},

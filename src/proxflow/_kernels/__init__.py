@@ -1,9 +1,12 @@
 """Root-modulus kernels with a compiled core and a numpy fallback.
 
-The native Cython extension is preferred when it was built; the numpy
-fallback implements the same contract. A caller picks a backend per call
-with ``backend=``. ``schur_stable_batch`` answers the stability question
-alone, without roots, and has one numpy implementation for both.
+The native Cython extension is preferred when it was built. The numpy
+fallback is its twin: the same Durand–Kerner iteration in the same real
+arithmetic and operation order, vectorized over rows, so the two give the
+same bits, and a row's radius depends neither on the other rows of its
+batch nor on numpy's SIMD dispatch for the CPU. A caller picks a backend
+per call with ``backend=``. ``schur_stable_batch`` answers the stability
+question alone, without roots, and has one numpy implementation for both.
 """
 
 import numpy as np
@@ -25,16 +28,43 @@ def backend_name():
     return "native" if HAVE_NATIVE else "fallback"
 
 
+def _degree(coeffs):
+    d = coeffs.shape[1]
+    if d < 1 or d > MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {d}")
+    return d
+
+
+def _scaled_radius(kernel, coeffs):
+    """``kernel``'s radii of rows with huge coefficients, without overflow.
+
+    Each row is solved for y = z / s, with s = 2^k the power of two at or
+    above its root bound max_i |q_i|^(1/(d-i)): the coefficients of y are
+    q_i / s^(d-i), at most 1 in modulus, and a radius of y times s is one
+    of z. Scaling by a power of two is exact.
+    """
+    powers = np.arange(coeffs.shape[1], 0, -1)  # q_i scales as s^(d-i)
+    bound = (np.abs(coeffs) ** (1.0 / powers)).max(axis=1)
+    k = np.ceil(np.log2(bound)).astype(int)
+    return np.ldexp(kernel(np.ldexp(coeffs, -k[:, None] * powers)), k)
+
+
 def max_root_modulus_batch(coeffs, backend=None):
     """Max root modulus per row of (N, d) ascending monic coefficients.
 
     A row with a NaN or infinite coefficient gets the radius ``inf``, and
-    only the finite rows reach the backend, so both backends share that
-    rule. Raises ValueError for a degree outside 1..``MAX_DEGREE``.
-    ``backend`` may be "native" or "fallback" to bypass the default
-    selection; requesting "native" without the extension is an error.
+    only the finite rows reach the backend. A row with a coefficient of
+    modulus 2^(960/(2d-1)) or more (about 1e58 at degree 3, 2e9 at degree
+    16) reaches it scaled by ``_scaled_radius``: the iteration multiplies
+    up to 2d - 1 numbers of the start radius's size, which would overflow
+    to inf and NaN and stop the row at once with the radius 0. Both
+    backends share these rules. Raises ValueError for a degree outside
+    1..``MAX_DEGREE``. ``backend`` may be "native" or "fallback" to bypass
+    the default selection; requesting "native" without the extension is
+    an error.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=float)
+    d = _degree(coeffs)
     if backend is None:
         backend = backend_name()
     if backend == "native":
@@ -43,11 +73,16 @@ def max_root_modulus_batch(coeffs, backend=None):
         kernel = _native.max_root_modulus_batch
     else:
         kernel = _fallback.max_root_modulus_batch
-    finite = np.isfinite(coeffs).all(axis=1)
-    if finite.all():
+    limit = 2.0 ** (960 / (2 * d - 1))
+    # false for a NaN anywhere, as for an inf or huge coefficient
+    if -limit < coeffs.min(initial=0.0) and coeffs.max(initial=0.0) < limit:
         return kernel(coeffs)
+    finite = np.isfinite(coeffs).all(axis=1)
+    huge = finite & (np.abs(coeffs).max(axis=1) >= limit)
     out = np.full(coeffs.shape[0], np.inf)
-    out[finite] = kernel(coeffs[finite])
+    plain = finite & ~huge
+    out[plain] = kernel(coeffs[plain])
+    out[huge] = _scaled_radius(kernel, coeffs[huge])
     return out
 
 
@@ -65,9 +100,7 @@ def schur_stable_batch(coeffs):
     no warning. Raises ValueError for a degree outside 1..``MAX_DEGREE``.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=float)
-    d = coeffs.shape[1]
-    if d < 1 or d > MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {d}")
+    d = _degree(coeffs)
     stable = np.isfinite(coeffs).all(axis=1)
     rows = np.flatnonzero(stable)
     p = np.concatenate((coeffs[rows], np.ones((rows.size, 1))), axis=1)

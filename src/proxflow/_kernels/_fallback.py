@@ -1,15 +1,26 @@
-"""Vectorized numpy implementation of the root-modulus kernels.
+"""Vectorized numpy twin of the native root-modulus kernel.
 
 Polynomials are monic and real: p(z) = z^d + q[d-1] z^(d-1) + ... + q[0].
 A batch is a (N, d) float array whose rows hold [q_0, ..., q_{d-1}].
+
+Degrees 1 and 2 have closed forms. From degree 3 on, every row runs the
+Durand–Kerner iteration (Kerner, 1966) of ``_native.pyx``'s
+``_row_radius``, vectorized over rows: real arithmetic in the C code's
+operation order, roots updated one after another (Gauss–Seidel), and a
+stop per row. The start values come from libm's cos and sin, and every
+later operation is an IEEE basic operation, so a row's radius has the
+bits of the compiled kernel and depends neither on the other rows of its
+batch nor on numpy's SIMD dispatch for the CPU.
 """
+
+import math
 
 import numpy as np
 
 MAX_DEGREE = 16  # the native kernel compiles in the same limit
 _MAX_ITER = 120
 _TOL = 1e-13
-_CHUNK = 1 << 18
+_CHUNK = 4096  # rows iterated at once; finished rows make room for new ones
 
 
 def _quadratic_max_modulus(q0, q1):
@@ -25,34 +36,164 @@ def _quadratic_max_modulus(q0, q1):
     return out
 
 
-def _durand_kerner_chunk(coeffs):
-    """All roots of each row's polynomial, shape (n, d) complex."""
-    n, d = coeffs.shape
-    radius = 1.0 + np.abs(coeffs).max(axis=1)
-    angles = 2.0 * np.pi * np.arange(d) / d + 0.4
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
+def _start_directions(d):
+    """cos and sin of the C code's start angles, from libm as C takes them.
 
-    for it in range(_MAX_ITER):
-        p = np.ones_like(z)
-        for i in range(d - 1, -1, -1):
-            p = p * z + coeffs[:, i][:, None]
-        step_max = 0.0
-        znew = z.copy()
-        for j in range(d):
-            den = np.ones(n, dtype=complex)
-            zj = z[:, j]
-            for k in range(d):
-                if k == j:
-                    continue
-                den = den * (zj - z[:, k])
-            den[den == 0] = 1e-300
-            w = p[:, j] / den
-            znew[:, j] = zj - w
-            step_max = max(step_max, float(np.abs(w).max(initial=0.0)))
-        z = znew
-        if step_max <= _TOL * (1.0 + float(np.abs(z).max(initial=0.0))):
-            break
-    return z
+    numpy dispatches its own vectorized cos and sin per CPU, and they
+    need not round as libm does.
+    """
+    angles = [6.283185307179586 * j / d + 0.4 for j in range(d)]
+    return (
+        np.array([math.cos(a) for a in angles])[:, None],
+        np.array([math.sin(a) for a in angles])[:, None],
+    )
+
+
+class _Batch:
+    """Rows in flight: coefficients, roots and stop sweeps, root-major.
+
+    ``q``, ``zr`` and ``zi`` have shape (d, m), so that ``zr[j]`` holds
+    root j of every row in flight; ``rows`` holds their indices in the
+    caller's batch, and ``last`` the sweep after which each row stops at
+    the latest.
+    """
+
+    def __init__(self, coeffs, rows, cos0, sin0, sweep):
+        self.rows = rows
+        self.q = coeffs[rows].T.copy()
+        r0 = 1.0 + np.abs(self.q).max(axis=0)
+        self.zr = r0 * cos0
+        self.zi = r0 * sin0
+        self.last = np.full(rows.size, sweep + _MAX_ITER)
+        self._scratch = None
+
+    def replace(self, slots, fresh):
+        self.rows[slots] = fresh.rows
+        self.last[slots] = fresh.last
+        self.q[:, slots] = fresh.q
+        self.zr[:, slots] = fresh.zr
+        self.zi[:, slots] = fresh.zi
+
+    def keep(self, mask):
+        self.rows = self.rows[mask]
+        self.last = self.last[mask]
+        self.q = self.q[:, mask]
+        self.zr = self.zr[:, mask]
+        self.zi = self.zi[:, mask]
+        self._scratch = None
+
+    def scratch(self):
+        """Work arrays of one sweep, seven (d, m) and six (m,), reused."""
+        if self._scratch is None:
+            d, m = self.zr.shape
+            self._scratch = np.empty((7, d, m)), np.empty((6, m))
+        return self._scratch
+
+
+def _mul(ar, ai, br, bi, out_r, out_i, tmp):
+    """(ar + i ai)(br + i bi) into ``out_r``, ``out_i``, as the C code multiplies."""
+    np.multiply(ar, br, out=out_r)
+    np.multiply(ai, bi, out=tmp)
+    out_r -= tmp
+    np.multiply(ar, bi, out=out_i)
+    np.multiply(ai, br, out=tmp)
+    out_i += tmp
+
+
+def _mul_one(br, bi, out_r, out_i, tmp):
+    """``_mul`` with a = 1 + 0i, the C code's start value of a product.
+
+    1*b is b exactly, so only the 0*b terms are computed: 0*b is -0.0 for
+    a negative b, which sets the sign of a zero sum as in the C code.
+    """
+    np.multiply(bi, 0.0, out=tmp)
+    np.subtract(br, tmp, out=out_r)
+    np.multiply(br, 0.0, out=tmp)
+    np.add(bi, tmp, out=out_i)
+
+
+def _abs2(re, im, out, tmp):
+    np.multiply(re, re, out=out)
+    np.multiply(im, im, out=tmp)
+    out += tmp
+
+
+def _sweep(b):
+    """One Durand–Kerner sweep over every row in flight, in place.
+
+    Returns, per row, the largest |w|^2 of the sweep's corrections and
+    the largest |z|^2 of its updated roots, as the C code's ``step`` and
+    ``zmax``. Every operation is one the C code makes, in its order.
+    """
+    q, zr, zi = b.q, b.zr, b.zi
+    d = q.shape[0]
+    (pr, pi, ta, tb, tc, wr, wi), (dr, di, s1, s2, s3, den) = b.scratch()
+    # p(z_j) at every root before any moves: Gauss–Seidel reads p(z_j)
+    # before z_j itself moves, and the other roots do not enter it
+    _mul_one(zr, zi, pr, pi, ta)
+    pr += q[d - 1]
+    for i in range(d - 2, -1, -1):
+        _mul(pr, pi, zr, zi, ta, tb, tc)
+        ta += q[i]
+        pr, pi, ta, tb = ta, tb, pr, pi
+    ar, ai = ta, tb
+    for j in range(d):
+        # prod_{k != j} (z_j - z_k), the roots k < j already moved
+        np.subtract(zr[j], zr, out=ar)
+        np.subtract(zi[j], zi, out=ai)
+        first, *rest = [k for k in range(d) if k != j]
+        _mul_one(ar[first], ai[first], dr, di, s1)
+        for k in rest:
+            _mul(dr, di, ar[k], ai[k], s1, s3, s2)
+            dr, di, s1, s3 = s1, s3, dr, di
+        _abs2(dr, di, den, s2)
+        if not den.all():
+            zero = den == 0.0
+            den[zero] = 1e-300
+            dr[zero] = 1e-150
+            di[zero] = 0.0
+        # w = p / d, as p * conj(d) / |d|^2
+        np.multiply(pr[j], dr, out=s1)
+        np.multiply(pi[j], di, out=s2)
+        s1 += s2
+        np.divide(s1, den, out=wr[j])
+        np.multiply(pi[j], dr, out=s1)
+        np.multiply(pr[j], di, out=s2)
+        s1 -= s2
+        np.divide(s1, den, out=wi[j])
+        zr[j] -= wr[j]
+        zi[j] -= wi[j]
+    # fmax passes over a NaN as the C code's `>` comparisons do
+    _abs2(wr, wi, ta, tb)
+    step = np.fmax.reduce(ta, axis=0, initial=0.0)
+    _abs2(zr, zi, ta, tb)
+    return step, np.fmax.reduce(ta, axis=0, initial=0.0)
+
+
+def _durand_kerner(coeffs, rows, out):
+    """Write the radius of each of ``rows`` (degree >= 3) into ``out``."""
+    d = coeffs.shape[1]
+    cos0, sin0 = _start_directions(d)
+    queued = _CHUNK
+    b = _Batch(coeffs, rows[:queued], cos0, sin0, 0)
+    sweep = 0
+    while b.rows.size:
+        step, zmax = _sweep(b)
+        sweep += 1
+        radius = np.sqrt(zmax)
+        stop = np.sqrt(step) <= _TOL * (1.0 + radius)
+        stop |= b.last == sweep
+        if not stop.any():
+            continue
+        done = np.flatnonzero(stop)
+        out[b.rows[done]] = radius[done]
+        fresh = rows[queued : queued + done.size]
+        queued += fresh.size
+        if fresh.size:
+            b.replace(done[: fresh.size], _Batch(coeffs, fresh, cos0, sin0, sweep))
+        if fresh.size < done.size:
+            stop[done[: fresh.size]] = False
+            b.keep(~stop)
 
 
 def max_root_modulus_batch(coeffs):
@@ -67,15 +208,10 @@ def max_root_modulus_batch(coeffs):
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {d}")
     if d == 1:
         return np.abs(coeffs[:, 0])
-    if d == 2:
-        return _quadratic_max_modulus(coeffs[:, 0], coeffs[:, 1])
-
-    out = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        chunk = coeffs[lo : lo + _CHUNK]
-        trivial = np.abs(chunk).max(axis=1) == 0.0
-        roots = _durand_kerner_chunk(chunk)
-        radii = np.abs(roots).max(axis=1)
-        radii[trivial] = 0.0
-        out[lo : lo + _CHUNK] = radii
+    # an overflow gives inf or NaN without a warning, as in the C code
+    with np.errstate(all="ignore"):
+        if d == 2:
+            return _quadratic_max_modulus(coeffs[:, 0], coeffs[:, 1])
+        out = np.zeros(n)  # a row of zeros has the radius 0
+        _durand_kerner(coeffs, np.flatnonzero(np.abs(coeffs).max(axis=1) != 0.0), out)
     return out

@@ -303,17 +303,26 @@ def cmd_figure1(args):
     out = Path(args.out)
     betas = np.geomspace(args.beta_min, args.beta_max, args.beta_points)
     panels = [(lmax, m) for lmax in args.l_list for m in args.m_list]
-    units = [(lmax, m, tau) for lmax, m in panels for tau in args.tau]
+    # the costliest curves first, so that no long curve starts last while
+    # the other workers idle: a curve's cost grows with tau, its root
+    # count, and with m
+    units = sorted(
+        ((lmax, m, tau) for lmax, m in panels for tau in args.tau),
+        key=lambda unit: (-unit[2], -unit[1]),
+    )
 
     def work(unit):
         lmax, m, tau = unit
         return beta_scan(1.0, lmax, [m], args.alpha, [tau], betas)
 
     curves, workers = _parallel(work, units, args.jobs)
-    done = iter(curves)
+    curve = dict(zip(units, curves))
     # a panel's rows are its taus' curves in --tau order, as beta_scan
     # over all the taus would give them
-    results = [(panel, [r for _ in args.tau for r in next(done)]) for panel in panels]
+    results = [
+        ((lmax, m), [r for tau in args.tau for r in curve[lmax, m, tau]])
+        for lmax, m in panels
+    ]
     out.mkdir(parents=True, exist_ok=True)
     for (lmax, m), rows in results:
         stem = f"figure1_L{lmax:g}_m{m}"

@@ -112,8 +112,20 @@ def _lambda_grid(mu, lmax):
 
 
 def spectrum_radius(spec, mu, lmax):
-    """Worst-case radius over eigenvalues in [mu, L] (512-point log grid)."""
-    return _worst_radius(spec.alpha, _lambda_grid(mu, lmax), spec)
+    """Worst-case radius over eigenvalues in [mu, L] (512-point log grid).
+
+    ``spec`` is one ``CompanionSpec``, giving a float, or a list of them,
+    giving an array of their radii from one kernel call. A radius has the
+    same bits either way, because the kernel's result for a row does not
+    depend on the other rows of its batch.
+    """
+    if isinstance(spec, CompanionSpec):
+        return float(spectrum_radius([spec], mu, lmax)[0])
+    lams = _lambda_grid(mu, lmax)
+    if not spec:
+        return np.empty(0)
+    rows = np.concatenate([_coeff_rows(s.alpha, lams, s) for s in spec])
+    return _kernels.max_root_modulus_batch(rows).reshape(len(spec), lams.size).max(axis=1)
 
 
 class StableAlpha(NamedTuple):
@@ -244,15 +256,16 @@ def optimal_rate(mu, lmax, beta, m, tau, xi):
 def beta_scan(mu, lmax, m_list, alpha, tau_list, betas):
     """Radius curves over a beta grid per (tau, m) pair, with BDF weights.
 
-    One dict per grid point, keyed by the figure-1 CSV columns.
+    One dict per grid point, keyed by the figure-1 CSV columns. A curve
+    takes one kernel call over the rows of all its betas.
     """
     rows = []
     span = f"[{mu:g},{lmax:g}]"
     for tau in tau_list:
         xi = tuple(bdf_coefficients(tau)[0])
         for m in m_list:
-            for beta in betas:
-                rho = spectrum_radius(CompanionSpec(tau, xi, alpha, beta, m), mu, lmax)
+            specs = [CompanionSpec(tau, xi, alpha, beta, m) for beta in betas]
+            for beta, rho in zip(betas, spectrum_radius(specs, mu, lmax).tolist()):
                 rows.append(
                     {
                         "tau": tau,

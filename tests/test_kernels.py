@@ -1,15 +1,25 @@
+import importlib.util
 import re
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import time
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxflow import _kernels
+from proxflow._kernels import _fallback
+from proxflow.multistep import bdf_coefficients
 from proxflow.numerics import TOL, seeded_rng
+from proxflow.spectral import CompanionSpec, _coeff_rows, _lambda_grid
 
-needs_native = pytest.mark.skipif(
-    not _kernels.HAVE_NATIVE, reason="native kernel not built"
-)
 BACKENDS = ["fallback", "native"] if _kernels.HAVE_NATIVE else ["fallback"]
 
 
@@ -63,6 +73,16 @@ def test_non_finite_rows_get_infinite_radius(backend):
     )
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("degree", [2, 3, 4, 8, 16])
+def test_huge_roots_keep_their_modulus(backend, degree):
+    # coefficients near 1e250, where the unscaled iteration overflows
+    rng = seeded_rng(degree)
+    roots = 10.0 ** (250 / degree) * rng.uniform(0.5, 2.0, degree) * rng.choice([-1.0, 1.0], degree)
+    got = _kernels.max_root_modulus_batch(np.poly(roots)[:0:-1][None, :], backend=backend)
+    assert got[0] == pytest.approx(np.abs(roots).max(), rel=1e-9)
+
+
 class TestSchurStable:
     def test_agrees_with_root_modulus_away_from_the_circle(self):
         for degree in range(1, 7):
@@ -103,19 +123,106 @@ class TestSchurStable:
             _kernels.schur_stable_batch(rows)
 
 
-@needs_native
+class TestBatchIndependence:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        row=st.integers(3, 16).flatmap(
+            lambda d: st.lists(st.floats(-8.0, 8.0, width=64), min_size=d, max_size=d)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([1, 2, 4]),
+    )
+    def test_radius_has_the_same_bytes_in_any_batch(self, row, seed, chunk):
+        # alone, at a random place in a random batch, and past the first
+        # ``chunk`` rows, which are in flight before it
+        row = np.array(row)
+        rng = seeded_rng(seed)
+        others = rng.uniform(-3.0, 3.0, (chunk + 1, row.size))
+        alone = _kernels.max_root_modulus_batch(row[None, :], backend="fallback")
+        with mock.patch.object(_fallback, "_CHUNK", chunk):
+            for at in (int(rng.integers(chunk + 2)), chunk + 1):
+                batch = np.insert(others, at, row, axis=0)
+                got = _kernels.max_root_modulus_batch(batch, backend="fallback")
+                assert got[at : at + 1].tobytes() == alone.tobytes()
+
+    def test_rows_past_the_first_chunk_keep_their_bytes(self):
+        # stability rows near a double root keep moving in the last bits
+        # until they stop, so they show any row that stops late
+        for rows in _stability_rows()[::3]:
+            whole = _kernels.max_root_modulus_batch(rows, backend="fallback")
+            reverse = _kernels.max_root_modulus_batch(rows[::-1], backend="fallback")
+            tail = _kernels.max_root_modulus_batch(rows[_fallback._CHUNK :], backend="fallback")
+            assert whole.tobytes() == reverse[::-1].tobytes()
+            assert whole[_fallback._CHUNK :].tobytes() == tail.tobytes()
+
+
+def _stability_rows():
+    """Coefficient rows of the stability analysis at tau 3 and 4.
+
+    Rows near a double root, which set the iteration count, are among them.
+    """
+    lams = _lambda_grid(1.0, 10.0)
+    rows = []
+    for tau in (3, 4):
+        xi = tuple(bdf_coefficients(tau)[0])
+        for m, beta in ((1, 0.5), (4, 1.0), (20, 10.0)):
+            spec = CompanionSpec(tau, xi, 1.0, beta, m)
+            rows.append(_coeff_rows(np.linspace(0.01, 1.0, 20)[:, None], lams, spec))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def native_module(tmp_path_factory):
+    """The native kernel: the installed extension, else the tracked C built here.
+
+    Skips when neither is available: no C compiler or no Python headers.
+    The build passes ``-ffp-contract=off``, so the compiler fuses no
+    multiply-add and the C code computes with IEEE basic operations only.
+    """
+    if _kernels.HAVE_NATIVE:
+        return _kernels._native
+    ldshared = sysconfig.get_config_var("LDSHARED")
+    include = sysconfig.get_paths()["include"]
+    if not ldshared or not shutil.which(shlex.split(ldshared)[0]):
+        pytest.skip("native kernel not built and no C compiler found")
+    if not (Path(include) / "Python.h").exists():
+        pytest.skip("native kernel not built and no Python headers found")
+    source = Path(_kernels.__file__).with_name("_native.c")
+    target = tmp_path_factory.mktemp("native") / ("_native" + sysconfig.get_config_var("EXT_SUFFIX"))
+    command = [
+        *shlex.split(ldshared), sysconfig.get_config_var("CCSHARED") or "-fPIC",
+        "-O3", "-ffp-contract=off", "-I", include, str(source), "-o", str(target),
+    ]
+    build = subprocess.run(command, capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr[-2000:]
+    spec = importlib.util.spec_from_file_location("proxflow._kernels._native", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def native(native_module, monkeypatch):
+    """Selects ``native_module`` as the "native" backend of ``_kernels``."""
+    monkeypatch.setattr(_kernels, "_native", native_module)
+    monkeypatch.setattr(_kernels, "HAVE_NATIVE", True)
+
+
+@pytest.mark.usefixtures("native")
 class TestNativeParity:
     def test_matches_fallback(self):
-        for degree in (1, 2, 3, 4, 8, 16):
-            rows = random_batch(degree + 100, 500, degree)
-            fb = _kernels.max_root_modulus_batch(rows, backend="fallback")
+        batches = [random_batch(d + 100, 500, d) for d in (1, 2, 3, 4, 8, 16)]
+        # rows with huge coefficients, which reach the kernels scaled
+        huge = [random_batch(d + 200, 100, d, scale=1e300) for d in (2, 3, 16)]
+        for rows in batches + huge + _stability_rows():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fb = _kernels.max_root_modulus_batch(rows, backend="fallback")
             nat = _kernels.max_root_modulus_batch(rows, backend="native")
-            assert np.abs(fb - nat).max() <= 1e-10
+            assert np.array_equal(fb, nat)
 
     def test_is_faster_on_large_batch(self):
         # smoke benchmark: the compiled kernel should not be slower
-        import time
-
         rows = random_batch(1, 200000, 3)
         t0 = time.perf_counter()
         _kernels.max_root_modulus_batch(rows, backend="fallback")
@@ -124,4 +231,3 @@ class TestNativeParity:
         _kernels.max_root_modulus_batch(rows, backend="native")
         t_nat = time.perf_counter() - t0
         assert t_nat <= t_fb * 1.5
-

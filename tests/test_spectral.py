@@ -255,7 +255,7 @@ class TestAlphaLattice:
 class TestBetaScan:
     def test_grid_point_matches_direct_evaluation(self):
         betas = [0.5, 1.0, 2.0]
-        rows = beta_scan(1.0, 2.0, [4], 1.0, [1, 2], betas)
+        rows = beta_scan(1.0, 2.0, [4], 1.0, [1, 2, 3, 4], betas)
         for row in rows:
             xi = tuple(bdf_coefficients(row["tau"])[0])
             spec = CompanionSpec(row["tau"], xi, row["alpha"], row["beta"], row["m"])
@@ -270,6 +270,12 @@ class TestBetaScan:
     def test_unstable_small_beta_flagged(self):
         rows = beta_scan(1.0, 10.0, [4], 1.0, [3], [0.05])
         assert not rows[0]["stable"]
+
+    def test_huge_coefficients_are_not_flagged_stable(self):
+        # a^m is about 1e60 at beta = 0.001 and m = 20
+        rows = beta_scan(1.0, 2.0, [20], 1.0, [3, 4], [0.001])
+        assert [r["stable"] for r in rows] == [0, 0]
+        assert min(r["radius"] for r in rows) > 1e59
 
     def test_csv_roundtrip(self, tmp_path):
         rows = beta_scan(1.0, 2.0, [4], 1.0, [1, 2, 3], [0.5, 5.0])
