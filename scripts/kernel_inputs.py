@@ -5,7 +5,10 @@
         with ``--jobs 1``, so that every kernel call happens in this
         process, and writes each command's calls to DIR/<command>.npz.
         Prints, per command and degree, the kernel calls, rows and rows
-        per call.
+        per call. From degree 3 on, a call over several lambda grids is
+        recorded as the two calls that ``spectral._group_max_radius``
+        makes: the grids' endpoint rows, then the inner rows that the
+        Schur–Cohn certificate does not rule out.
     PYTHONPATH=src python3 scripts/kernel_inputs.py replay DIR [--backend B] [--save FILE]
         Calls the kernel again on every recorded call, in the recorded
         order and batches, and prints the time per command. ``--save``

@@ -22,6 +22,7 @@ except ImportError:  # pragma: no cover
     HAVE_NATIVE = False
 
 MAX_DEGREE = _fallback.MAX_DEGREE
+_TINY = 2.0**-10  # root bound below which a row is solved scaled
 
 
 def backend_name():
@@ -35,17 +36,22 @@ def _degree(coeffs):
     return d
 
 
+def _root_bound(coeffs):
+    """max_i |q_i|^(1/(d-i)) per row: every root lies within twice it."""
+    powers = np.arange(coeffs.shape[1], 0, -1)  # q_i scales as s^(d-i)
+    return (np.abs(coeffs) ** (1.0 / powers)).max(axis=1)
+
+
 def _scaled_radius(kernel, coeffs):
-    """``kernel``'s radii of rows with huge coefficients, without overflow.
+    """``kernel``'s radii of rows with huge or tiny roots, at scale 1.
 
     Each row is solved for y = z / s, with s = 2^k the power of two at or
-    above its root bound max_i |q_i|^(1/(d-i)): the coefficients of y are
-    q_i / s^(d-i), at most 1 in modulus, and a radius of y times s is one
-    of z. Scaling by a power of two is exact.
+    above its root bound: the coefficients of y are q_i / s^(d-i), at most
+    1 in modulus, and a radius of y times s is one of z. Scaling by a
+    power of two is exact.
     """
-    powers = np.arange(coeffs.shape[1], 0, -1)  # q_i scales as s^(d-i)
-    bound = (np.abs(coeffs) ** (1.0 / powers)).max(axis=1)
-    k = np.ceil(np.log2(bound)).astype(int)
+    powers = np.arange(coeffs.shape[1], 0, -1)
+    k = np.ceil(np.log2(_root_bound(coeffs))).astype(int)
     return np.ldexp(kernel(np.ldexp(coeffs, -k[:, None] * powers)), k)
 
 
@@ -57,11 +63,14 @@ def max_root_modulus_batch(coeffs, backend=None):
     modulus 2^(960/(2d-1)) or more (about 1e58 at degree 3, 2e9 at degree
     16) reaches it scaled by ``_scaled_radius``: the iteration multiplies
     up to 2d - 1 numbers of the start radius's size, which would overflow
-    to inf and NaN and stop the row at once with the radius 0. Both
-    backends share these rules. Raises ValueError for a degree outside
-    1..``MAX_DEGREE``. ``backend`` may be "native" or "fallback" to bypass
-    the default selection; requesting "native" without the extension is
-    an error.
+    to inf and NaN and stop the row at once with the radius 0. From
+    degree 3 on, so does a nonzero row whose root bound is below
+    ``_TINY``: the iteration stops once its corrections are below about
+    1e-13 in absolute terms, so roots near 1e-20 would all come out near
+    1e-13. Both backends share these rules. Raises ValueError for a
+    degree outside 1..``MAX_DEGREE``. ``backend`` may be "native" or
+    "fallback" to bypass the default selection; requesting "native"
+    without the extension is an error.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=float)
     d = _degree(coeffs)
@@ -73,16 +82,23 @@ def max_root_modulus_batch(coeffs, backend=None):
         kernel = _native.max_root_modulus_batch
     else:
         kernel = _fallback.max_root_modulus_batch
+    tiny = np.empty(0, dtype=int)
+    if d >= 3:
+        # a root bound below _TINY needs |q_(d-1)| below it
+        small = np.flatnonzero(np.abs(coeffs[:, -1]) < _TINY)
+        bound = _root_bound(coeffs[small])
+        tiny = small[(bound > 0.0) & (bound < _TINY)]
     limit = 2.0 ** (960 / (2 * d - 1))
     # false for a NaN anywhere, as for an inf or huge coefficient
-    if -limit < coeffs.min(initial=0.0) and coeffs.max(initial=0.0) < limit:
+    if not tiny.size and -limit < coeffs.min(initial=0.0) and coeffs.max(initial=0.0) < limit:
         return kernel(coeffs)
     finite = np.isfinite(coeffs).all(axis=1)
-    huge = finite & (np.abs(coeffs).max(axis=1) >= limit)
+    scaled = finite & (np.abs(coeffs).max(axis=1) >= limit)
+    scaled[tiny] = True
+    plain = finite & ~scaled
     out = np.full(coeffs.shape[0], np.inf)
-    plain = finite & ~huge
     out[plain] = kernel(coeffs[plain])
-    out[huge] = _scaled_radius(kernel, coeffs[huge])
+    out[scaled] = _scaled_radius(kernel, coeffs[scaled])
     return out
 
 

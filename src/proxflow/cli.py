@@ -566,7 +566,7 @@ OPTIONS = (
     ),
     Option("--beta-min", ("figure1",), float, {"figure1": 0.05}),
     Option("--beta-max", ("figure1",), float, {"figure1": 50.0}),
-    Option("--beta-points", ("figure1",), int, {"figure1": 25}),
+    Option("--beta-points", ("figure1",), _positive_int, {"figure1": 25}),
     Option("--lambda", ("run",), float, {"run l1": 0.01}, dest="lam"),
     Option("--theta", ("run",), float, {"run lsp": 5.0}),
     Option("--sigma", ("run",), float, {"run altproj": 0.5}),

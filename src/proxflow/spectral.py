@@ -36,6 +36,7 @@ _ALPHA_GRID_POINTS = 2048
 _COARSE_STRIDE = 32
 _PLATEAU_TOL = 1e-12
 _BISECTION_STEPS = 60
+_CERTIFY_MARGIN = 1e-6
 
 
 class StabilityError(ArithmeticError):
@@ -90,16 +91,54 @@ def _coeff_rows(alpha, lams, spec):
     return rows.reshape(-1, spec.tau)
 
 
+def _group_max_radius(rows, size):
+    """Largest kernel radius of each group of ``size`` consecutive rows.
+
+    Each group runs over the lambda grid, and its largest radius mostly
+    lies at an endpoint, mu or L. So the kernel first runs on the endpoint
+    rows of every group. With s = (1 - ``_CERTIFY_MARGIN``) times the
+    larger endpoint radius, an inner row whose scaled polynomial p(s z)
+    passes the Schur–Cohn test has every root inside radius s, and cannot
+    set the maximum: the kernel stops at 1e-13, far inside the margin.
+    Only the other rows go to the kernel, in one more call. A row's radius
+    does not depend on its batch, so every maximum has the bits of the
+    kernel on all rows. A group whose endpoint radius is 0, inf or NaN
+    certifies nothing. Degrees 1 and 2 (closed forms), one-point grids
+    and a single group take one kernel call on all rows.
+    """
+    n, d = rows.shape
+    if d <= 2 or size < 3 or n == size:
+        return _kernels.max_root_modulus_batch(rows).reshape(-1, size).max(axis=1)
+    groups = rows.reshape(-1, size, d)
+    radii = np.full(groups.shape[:2], -np.inf)  # a certified row stays below
+    ends = groups[:, [0, -1]].reshape(-1, d)
+    radii[:, [0, -1]] = _kernels.max_root_modulus_batch(ends).reshape(-1, 2)
+    s = (1.0 - _CERTIFY_MARGIN) * radii.max(axis=1)
+    sure = np.flatnonzero(np.isfinite(s) & (s > 0.0))
+    # q_i / s^(d-i), with s = frac * 2^exp so that no power of s overflows
+    frac, exp = np.frexp(s[sure, None, None])
+    powers = np.arange(d, 0, -1)
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = np.ldexp(groups[sure, 1:-1] / frac**powers, -exp * powers)
+    inside = _kernels.schur_stable_batch(scaled.reshape(-1, d)).reshape(sure.size, size - 2)
+    todo = np.ones(radii.shape, dtype=bool)
+    todo[:, [0, -1]] = False
+    todo[sure, 1:-1] = ~inside
+    if todo.any():
+        radii[todo] = _kernels.max_root_modulus_batch(groups[todo])
+    return radii.max(axis=1)
+
+
 def _worst_radius(alpha, lams, spec):
-    """Worst-case radius over ``lams``, in one kernel call.
+    """Worst-case radius over ``lams``.
 
     A float for a scalar ``alpha``; for a column of k alphas (an ndarray
     of shape (k, 1)), an array of k radii.
     """
-    radii = _kernels.max_root_modulus_batch(_coeff_rows(alpha, lams, spec))
+    radii = _group_max_radius(_coeff_rows(alpha, lams, spec), lams.size)
     if isinstance(alpha, np.ndarray):
-        return radii.reshape(-1, lams.size).max(axis=1)
-    return float(radii.max())
+        return radii
+    return float(radii[0])
 
 
 def _lambda_grid(mu, lmax):
@@ -112,12 +151,13 @@ def _lambda_grid(mu, lmax):
 
 
 def spectrum_radius(spec, mu, lmax):
-    """Worst-case radius over eigenvalues in [mu, L] (512-point log grid).
+    """Worst-case radius over eigenvalues in [mu, L] (514-point grid).
 
-    ``spec`` is one ``CompanionSpec``, giving a float, or a list of them,
-    giving an array of their radii from one kernel call. A radius has the
-    same bits either way, because the kernel's result for a row does not
-    depend on the other rows of its batch.
+    The grid is mu, 512 log-spaced points and L. ``spec`` is one
+    ``CompanionSpec``, giving a float, or a list of them, giving an array
+    of their radii from at most two kernel calls (``_group_max_radius``).
+    A radius has the same bits either way, because the kernel's result for
+    a row does not depend on the other rows of its batch.
     """
     if isinstance(spec, CompanionSpec):
         return float(spectrum_radius([spec], mu, lmax)[0])
@@ -125,7 +165,7 @@ def spectrum_radius(spec, mu, lmax):
     if not spec:
         return np.empty(0)
     rows = np.concatenate([_coeff_rows(s.alpha, lams, s) for s in spec])
-    return _kernels.max_root_modulus_batch(rows).reshape(len(spec), lams.size).max(axis=1)
+    return _group_max_radius(rows, lams.size)
 
 
 class StableAlpha(NamedTuple):

@@ -328,6 +328,20 @@ class TestJobs:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_beta_points_not_a_positive_int_is_usage_error(self, tmp_path, capsys, points):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure1", "--beta-points", str(points), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--beta-points" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta_points": points}))
+        with pytest.raises(SystemExit) as exc:
+            main(["figure1", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--beta-points" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_default_jobs_per_command(self, monkeypatch):
         import proxflow.cli as cli
 

@@ -83,6 +83,18 @@ def test_huge_roots_keep_their_modulus(backend, degree):
     assert got[0] == pytest.approx(np.abs(roots).max(), rel=1e-9)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("degree", [3, 4, 8, 16])
+def test_tiny_roots_keep_their_modulus(backend, degree):
+    # roots near 1e-83 at degree 3 and 3e-16 at degree 16, far below the
+    # iteration's stop at corrections of about 1e-13
+    rng = seeded_rng(degree)
+    roots = 10.0 ** (-250 / degree) * rng.uniform(0.5, 2.0, degree) * rng.choice([-1.0, 1.0], degree)
+    got = _kernels.max_root_modulus_batch(np.poly(roots)[:0:-1][None, :], backend=backend)
+    # approx's default abs tolerance, 1e-12, would pass a radius of 1e-13
+    assert got[0] == pytest.approx(np.abs(roots).max(), rel=1e-9, abs=0.0)
+
+
 class TestSchurStable:
     def test_agrees_with_root_modulus_away_from_the_circle(self):
         for degree in range(1, 7):
@@ -214,7 +226,9 @@ class TestNativeParity:
         batches = [random_batch(d + 100, 500, d) for d in (1, 2, 3, 4, 8, 16)]
         # rows with huge coefficients, which reach the kernels scaled
         huge = [random_batch(d + 200, 100, d, scale=1e300) for d in (2, 3, 16)]
-        for rows in batches + huge + _stability_rows():
+        # and rows with tiny roots, which reach them scaled as well
+        tiny = [random_batch(d + 300, 100, d, scale=1e-60) for d in (3, 16)]
+        for rows in batches + huge + tiny + _stability_rows():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 fb = _kernels.max_root_modulus_batch(rows, backend="fallback")

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from proxflow import _kernels
 from proxflow.experiments import emit_table
 from proxflow.multistep import bdf_coefficients
 from proxflow.numerics import ValidationError, seeded_rng
 from proxflow.spectral import (
     _ALPHA_GRID_POINTS,
+    _COARSE_STRIDE,
     CompanionSpec,
+    _coeff_rows,
     _lambda_grid,
     _lattice_argmin,
     _worst_radius,
@@ -83,6 +86,73 @@ class TestSpectrumRadius:
         inner = spectrum_radius(spec, 1.0, 2.0)
         outer = spectrum_radius(spec, 0.5, 3.0)
         assert outer >= inner - 1e-12
+
+
+def every_row_maximum(alphas, lams, spec):
+    """Each alpha's worst-case radius from the kernel on every grid row."""
+    radii = _kernels.max_root_modulus_batch(_coeff_rows(alphas[:, None], lams, spec))
+    return radii.reshape(alphas.size, lams.size).max(axis=1)
+
+
+class TestCertifiedMaximum:
+    """The endpoint-plus-certificate maximum has the bits of every row's."""
+
+    @given(
+        tau=st.integers(3, 8),
+        bdf=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 20),
+        beta=st.floats(0.1, 10.0),
+        lmax=st.floats(1.0, 10.0),
+        one_point=st.booleans(),
+        steps=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=4),
+    )
+    # a^200 overflows at alpha = 90: every row of that alpha has the radius
+    # inf, and so do its endpoints
+    @example(tau=3, bdf=True, seed=0, m=200, beta=10.0, lmax=2.0, one_point=False, steps=[9.0, 0.01])
+    @settings(max_examples=25, deadline=None)
+    def test_equals_the_maximum_over_every_row(
+        self, tau, bdf, seed, m, beta, lmax, one_point, steps
+    ):
+        # BDF weights at tau 3 and 4, else random affine weights (sum 1);
+        # alpha is a multiple of beta up to 10 beta, as in max_stable_alpha
+        if bdf and tau <= 4:
+            xi = tuple(bdf_coefficients(tau)[0])
+        else:
+            w = seeded_rng(seed).uniform(-1.0, 1.0, tau)
+            w[-1] = 1.0 - w[:-1].sum()
+            xi = tuple(w)
+        mu = lmax if one_point else 1.0
+        lams = _lambda_grid(mu, lmax)
+        alphas = beta * np.array(steps)
+        spec = CompanionSpec(tau, xi, beta, beta, m)
+        want = every_row_maximum(alphas, lams, spec)
+        assert _worst_radius(alphas[:, None], lams, spec).tobytes() == want.tobytes()
+        specs = [CompanionSpec(tau, xi, float(a), beta, m) for a in alphas]
+        assert spectrum_radius(specs, mu, lmax).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "m, beta, lmax",
+        [(4, 1.0, 2.0), (4, 10.0, 2.0), (20, 1.0, 2.0), (20, 1.0, 10.0), (20, 10.0, 2.0), (20, 10.0, 10.0)],
+    )
+    def test_bdf3_cells_with_an_interior_worst_lambda(self, m, beta, lmax):
+        # the 6 bdf3 cells of table 3 whose worst lambda at the reported
+        # alpha lies inside (mu, L): optimal_rate's coarse alpha lattice and
+        # the reported alpha, where an inner row exceeds both endpoints by
+        # only about 1e-12
+        xi = tuple(bdf_coefficients(3)[0])
+        bound = max_stable_alpha(1.0, lmax, beta, m, 3, xi).alpha
+        n = _ALPHA_GRID_POINTS
+        lattice = np.linspace(bound / n, bound, n)[::_COARSE_STRIDE]
+        alphas = np.append(lattice, optimal_rate(1.0, lmax, beta, m, 3, xi).alpha)
+        lams = _lambda_grid(1.0, lmax)
+        spec = CompanionSpec(3, xi, beta, beta, m)
+        want = every_row_maximum(alphas, lams, spec)
+        radii = _kernels.max_root_modulus_batch(_coeff_rows(alphas[:, None], lams, spec))
+        worst = radii.reshape(alphas.size, lams.size).argmax(axis=1)
+        # the endpoints do not give the maximum of some alphas
+        assert ((worst > 0) & (worst < lams.size - 1)).any()
+        assert _worst_radius(alphas[:, None], lams, spec).tobytes() == want.tobytes()
 
 
 def durand_kerner_stable_alpha(mu, lmax, beta, m, tau, xi):
@@ -276,6 +346,28 @@ class TestBetaScan:
         rows = beta_scan(1.0, 2.0, [20], 1.0, [3, 4], [0.001])
         assert [r["stable"] for r in rows] == [0, 0]
         assert min(r["radius"] for r in rows) > 1e59
+
+    def test_a_curve_makes_an_endpoint_call_and_an_uncertified_row_call(self, monkeypatch):
+        # tools that wrap the module attribute, such as
+        # scripts/kernel_inputs.py, see both calls of a figure1 curve
+        betas = np.geomspace(0.05, 50.0, 25)
+        lams = _lambda_grid(1.0, 10.0)
+        calls = []
+        kernel = _kernels.max_root_modulus_batch
+
+        def recording(coeffs, backend=None):
+            calls.append(coeffs.shape[0])
+            return kernel(coeffs, backend)
+
+        monkeypatch.setattr(_kernels, "max_root_modulus_batch", recording)
+        rows = beta_scan(1.0, 10.0, [4], 1.0, [3], betas)
+        assert len(calls) == 2
+        assert calls[0] == 2 * betas.size
+        assert 0 < calls[1] < (lams.size - 2) * betas.size
+        xi = tuple(bdf_coefficients(3)[0])
+        every_row = np.concatenate([_coeff_rows(1.0, lams, CompanionSpec(3, xi, 1.0, b, 4)) for b in betas])
+        want = kernel(every_row).reshape(betas.size, lams.size).max(axis=1)
+        assert [r["radius"] for r in rows] == want.tolist()
 
     def test_csv_roundtrip(self, tmp_path):
         rows = beta_scan(1.0, 2.0, [4], 1.0, [1, 2, 3], [0.5, 5.0])
