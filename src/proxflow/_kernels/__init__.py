@@ -1,12 +1,13 @@
 """Root-modulus kernels with a compiled core and a numpy fallback.
 
-The native Cython extension is preferred when it was built. The numpy
-fallback is its twin: the same Durand–Kerner iteration in the same real
-arithmetic and operation order, vectorized over rows, so the two give the
-same bits, and a row's radius depends neither on the other rows of its
-batch nor on numpy's SIMD dispatch for the CPU. A caller picks a backend
-per call with ``backend=``. ``schur_stable_batch`` answers the stability
-question alone, without roots, and has one numpy implementation for both.
+The native extension, compiled from the hand-written ``_native.c``, is
+preferred when it was built. The numpy fallback is its twin: the same
+Durand–Kerner iteration in the same real arithmetic and operation order,
+vectorized over rows, so the two give the same bits, and a row's radius
+depends neither on the other rows of its batch nor on numpy's SIMD
+dispatch for the CPU. A caller picks a backend per call with
+``backend=``. ``schur_stable_batch`` answers the stability question
+alone, without roots, and has one numpy implementation for both.
 """
 
 import numpy as np
@@ -27,6 +28,13 @@ _TINY = 2.0**-10  # root bound below which a row is solved scaled
 
 def backend_name():
     return "native" if HAVE_NATIVE else "fallback"
+
+
+def _native_radius(coeffs):
+    """The native kernel's radii of the C-contiguous float rows ``coeffs``."""
+    out = np.empty(coeffs.shape[0])
+    _native.max_root_modulus_batch(coeffs, out)
+    return out
 
 
 def _degree(coeffs):
@@ -79,7 +87,7 @@ def max_root_modulus_batch(coeffs, backend=None):
     if backend == "native":
         if not HAVE_NATIVE:
             raise RuntimeError("native kernel requested but not built")
-        kernel = _native.max_root_modulus_batch
+        kernel = _native_radius
     else:
         kernel = _fallback.max_root_modulus_batch
     tiny = np.empty(0, dtype=int)

@@ -4,8 +4,8 @@ Polynomials are monic and real: p(z) = z^d + q[d-1] z^(d-1) + ... + q[0].
 A batch is a (N, d) float array whose rows hold [q_0, ..., q_{d-1}].
 
 Degrees 1 and 2 have closed forms. From degree 3 on, every row runs the
-Durand–Kerner iteration (Kerner, 1966) of ``_native.pyx``'s
-``_row_radius``, vectorized over rows: real arithmetic in the C code's
+Durand–Kerner iteration (Kerner, 1966) of ``_native.c``'s
+``row_radius``, vectorized over rows: real arithmetic in the C code's
 operation order, roots updated one after another (Gauss–Seidel), and a
 stop per row. The start values come from libm's cos and sin, and every
 later operation is an IEEE basic operation, so a row's radius has the

@@ -1,8 +1,7 @@
 import importlib.util
 import re
-import shlex
-import shutil
 import subprocess
+import sys
 import sysconfig
 import time
 import warnings
@@ -20,7 +19,45 @@ from proxflow.multistep import bdf_coefficients
 from proxflow.numerics import TOL, seeded_rng
 from proxflow.spectral import CompanionSpec, _coeff_rows, _lambda_grid
 
-BACKENDS = ["fallback", "native"] if _kernels.HAVE_NATIVE else ["fallback"]
+BACKENDS = pytest.mark.parametrize("backend", ["fallback", "native"], indirect=True)
+
+
+@pytest.fixture(scope="module")
+def native_module(tmp_path_factory):
+    """The native kernel, built from ``_native.c`` by ``setup.py build_ext``.
+
+    Building with the shipped recipe tests its ``-ffp-contract=off``: the
+    compiler fuses no multiply-add, so the C code computes with IEEE basic
+    operations only. Skips when the build makes no extension, which it
+    leaves out with a warning when there is no C compiler or no Python
+    headers.
+    """
+    build = tmp_path_factory.mktemp("native")
+    command = [sys.executable, "setup.py", "build_ext", "--build-lib", build, "--build-temp", build]
+    done = subprocess.run(command, cwd=Path(__file__).parents[1], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    target = build / "proxflow" / "_kernels" / ("_native" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not target.exists():
+        pytest.skip("setup.py built no native kernel: " + done.stderr.strip().rpartition("\n")[2])
+    spec = importlib.util.spec_from_file_location("proxflow._kernels._native", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def native(native_module, monkeypatch):
+    """Selects ``native_module`` as the "native" backend of ``_kernels``."""
+    monkeypatch.setattr(_kernels, "_native", native_module)
+    monkeypatch.setattr(_kernels, "HAVE_NATIVE", True)
+
+
+@pytest.fixture
+def backend(request):
+    """The backend name of ``BACKENDS``; "native" is ``native_module``."""
+    if request.param == "native":
+        request.getfixturevalue("native")
+    return request.param
 
 
 def random_batch(seed, n, degree, scale=1.5):
@@ -54,14 +91,14 @@ class TestFallback:
         assert np.array_equal(got, np.zeros(3))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@BACKENDS
 @pytest.mark.parametrize("degree", [0, TOL.max_poly_degree + 1])
 def test_degree_guard(backend, degree):
     with pytest.raises(ValueError, match=f"degree must be in 1..{TOL.max_poly_degree}"):
         _kernels.max_root_modulus_batch(np.zeros((1, degree)), backend=backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@BACKENDS
 def test_non_finite_rows_get_infinite_radius(backend):
     rows = random_batch(5, 6, 3)
     rows[1, 0], rows[3, 2], rows[4, 1] = np.nan, np.inf, -np.inf
@@ -73,7 +110,7 @@ def test_non_finite_rows_get_infinite_radius(backend):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@BACKENDS
 @pytest.mark.parametrize("degree", [2, 3, 4, 8, 16])
 def test_huge_roots_keep_their_modulus(backend, degree):
     # coefficients near 1e250, where the unscaled iteration overflows
@@ -83,7 +120,7 @@ def test_huge_roots_keep_their_modulus(backend, degree):
     assert got[0] == pytest.approx(np.abs(roots).max(), rel=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@BACKENDS
 @pytest.mark.parametrize("degree", [3, 4, 8, 16])
 def test_tiny_roots_keep_their_modulus(backend, degree):
     # roots near 1e-83 at degree 3 and 3e-16 at degree 16, far below the
@@ -183,43 +220,6 @@ def _stability_rows():
     return rows
 
 
-@pytest.fixture(scope="module")
-def native_module(tmp_path_factory):
-    """The native kernel: the installed extension, else the tracked C built here.
-
-    Skips when neither is available: no C compiler or no Python headers.
-    The build passes ``-ffp-contract=off``, so the compiler fuses no
-    multiply-add and the C code computes with IEEE basic operations only.
-    """
-    if _kernels.HAVE_NATIVE:
-        return _kernels._native
-    ldshared = sysconfig.get_config_var("LDSHARED")
-    include = sysconfig.get_paths()["include"]
-    if not ldshared or not shutil.which(shlex.split(ldshared)[0]):
-        pytest.skip("native kernel not built and no C compiler found")
-    if not (Path(include) / "Python.h").exists():
-        pytest.skip("native kernel not built and no Python headers found")
-    source = Path(_kernels.__file__).with_name("_native.c")
-    target = tmp_path_factory.mktemp("native") / ("_native" + sysconfig.get_config_var("EXT_SUFFIX"))
-    command = [
-        *shlex.split(ldshared), sysconfig.get_config_var("CCSHARED") or "-fPIC",
-        "-O3", "-ffp-contract=off", "-I", include, str(source), "-o", str(target),
-    ]
-    build = subprocess.run(command, capture_output=True, text=True)
-    assert build.returncode == 0, build.stderr[-2000:]
-    spec = importlib.util.spec_from_file_location("proxflow._kernels._native", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture
-def native(native_module, monkeypatch):
-    """Selects ``native_module`` as the "native" backend of ``_kernels``."""
-    monkeypatch.setattr(_kernels, "_native", native_module)
-    monkeypatch.setattr(_kernels, "HAVE_NATIVE", True)
-
-
 @pytest.mark.usefixtures("native")
 class TestNativeParity:
     def test_matches_fallback(self):
@@ -245,3 +245,35 @@ class TestNativeParity:
         _kernels.max_root_modulus_batch(rows, backend="native")
         t_nat = time.perf_counter() - t0
         assert t_nat <= t_fb * 1.5
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+class TestNativeEntryPoint:
+    """The C entry point checks what it is given: it is the one call into C."""
+
+    @pytest.mark.parametrize(
+        "coeffs, out",
+        [
+            (np.ones((2, 3), dtype=np.float32), np.empty(2)),
+            (np.asfortranarray(np.ones((2, 3))), np.empty(2)),
+            (np.ones(3), np.empty(3)),
+            (np.ones((2, 3)), np.empty(3)),
+            (np.ones((2, 3)), np.empty(2, dtype=np.float32)),
+            (np.ones((2, 3)), _read_only(np.empty(2))),
+            (np.ones((2, 0)), np.empty(2)),
+            (np.ones((2, 17)), np.empty(2)),
+            ([[1.0, 2.0, 3.0]], np.empty(1)),
+        ],
+        ids=["float32", "fortran", "1d", "out-length", "out-float32", "out-read-only",
+             "degree-0", "degree-17", "list"],
+    )
+    def test_rejects_bad_arguments(self, native_module, coeffs, out):
+        with pytest.raises((ValueError, TypeError)):
+            native_module.max_root_modulus_batch(coeffs, out)
+
+    def test_empty_batch(self, native_module):
+        assert native_module.max_root_modulus_batch(np.empty((0, 3)), np.empty(0)) is None
