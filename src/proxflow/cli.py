@@ -8,14 +8,18 @@ Subcommands:
 - ``figure1``: radius-versus-beta curves per (L, m) panel.
 - ``run``: one of the four application experiments (l1, lsp, altproj,
   matfac), emitting trace CSV + SVG and a ``run.json`` sidecar; its
-  ``fixed_at`` gives, per tau, the first step that reused a fixed point.
+  ``fixed_at`` gives, per tau, the first step that reused a fixed point,
+  and for ``run l1`` ``nonpositive_gaps`` gives, per tau, how many of
+  its objective-gap points are not positive (the log-scale plot leaves
+  them out).
 - ``accel``: tuned two-step coefficients with predicted and fitted rates.
 
 Every flag has a config-file equivalent (a flat JSON object); explicit
 flags win over it, and the option table ``OPTIONS``, which declares each
 flag once, fills in what neither sets. A config key that names no option
 of the command, a value its flag would reject, or a flag abbreviated to a
-prefix is a usage error. ``tables``, ``figure1`` and ``run`` compute
+prefix is a usage error, and so is a value repeated in ``--tau``,
+``--m-list`` or ``--l-list``. ``tables``, ``figure1`` and ``run`` compute
 their independent cells, curves and per-tau runs (and the F* reference
 of ``run l1``) on ``--jobs`` forked worker processes (default: the CPUs
 available to the process; never more than there are work units), and
@@ -369,6 +373,7 @@ def cmd_run(args):
             stop_tol=args.tol, inner_alpha=args.alpha, mapper=pooled,
         )
         extra["f_star"] = result.f_star
+        extra["nonpositive_gaps"] = {str(t): n for t, n in result.nonpositive_gaps.items()}
         traces = result.traces
         axes = AxesSpec("l1 objective gap", "iteration", "F - F*", "objective_gap")
     elif args.experiment == "lsp":
@@ -480,10 +485,12 @@ def _write_metadata(out, command, args, extra):
         fh.write("\n")
 
 
-def _split_list(text, cast):
+def _split_list(text, cast, distinct=True):
     values = [cast(v) for v in text.split(",") if v != ""]
     if not values:
         raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    if distinct and len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
     return values
 
 
@@ -500,6 +507,11 @@ def _int_list(text):
 
 def _float_list(text):
     return _split_list(text, float)
+
+
+def _angle_list(text):
+    # principal angles may repeat
+    return _split_list(text, float, distinct=False)
 
 
 # Run kinds: what an option's defaults are keyed by. ``run`` has one per
@@ -572,7 +584,7 @@ OPTIONS = (
     Option("--sigma", ("run",), float, {"run altproj": 0.5}),
     Option("--rank", ("run",), int, {"run matfac": 10}),
     Option("--rho", ("accel",), float, {"accel": 0.25}),
-    Option("--angles", ("accel",), _float_list),
+    Option("--angles", ("accel",), _angle_list),
     Option(
         "--iters", ("run", "accel"), int,
         {**dict.fromkeys(SENSING, 2000), "run altproj": 300, "run matfac": 300,

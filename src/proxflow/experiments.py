@@ -163,7 +163,7 @@ def reference_optimum(problem, lam, beta):
         best = min(best, val)
         return False
 
-    run(objective, cfg, x0, 50000, stop_metric=stagnated)
+    run(objective, cfg, x0, 50000, stop=stagnated)
     return best
 
 
@@ -178,8 +178,12 @@ def _sensing_trace(objective, tau, beta, m, iterations, x0, inner_alpha, **kwarg
 
 @dataclass
 class SensingResult:
+    """Traces per tau; ``run_l1`` also gives F* and, per tau, how many of
+    its "objective_gap" points are not positive."""
+
     traces: dict
     f_star: Optional[float]
+    nonpositive_gaps: Optional[dict] = None
 
 
 def run_l1(
@@ -191,33 +195,35 @@ def run_l1(
     ``mapper(fn, items)`` maps the work units in item order, as the
     builtin ``map`` (the default) does. Without ``f_star``,
     ``reference_optimum`` gives F*: before the taus when ``stop_tol`` stops
-    them on the objective gap, otherwise as a first unit next to them,
-    after which each tau's "objective_gap" is filled in from its
-    "objective".
+    each of them at the first step whose objective gap is at most
+    ``stop_tol``, otherwise as a first unit next to them. Each tau's
+    "objective_gap" is filled in from its "objective" after the runs.
     """
     objective = lasso_objective(problem, lam)
     x0 = np.zeros(problem.a.shape[1])
-    if f_star is None and stop_tol is not None:
-        f_star = reference_optimum(problem, lam, beta)
+    stop = None
+    if stop_tol is not None:
+        if f_star is None:
+            f_star = reference_optimum(problem, lam, beta)
+
+        def stop(trace):
+            return trace.metrics["objective"][-1][1] - f_star <= stop_tol
 
     def unit(tau):
         if tau is None:
             return reference_optimum(problem, lam, beta)
-        return _sensing_trace(
-            objective, tau, beta, m, iterations, x0, inner_alpha, stop_tol=stop_tol,
-            stop_metric=None if stop_tol is None else "objective_gap", f_star=f_star,
-        )
+        return _sensing_trace(objective, tau, beta, m, iterations, x0, inner_alpha, stop=stop)
 
     # None is the reference run, the longest unit, so it starts first
     results = list(mapper(unit, list(taus) if f_star is not None else [None, *taus]))
     if f_star is None:
         f_star = results.pop(0)
-        for trace in results:
-            # the subtraction ``run`` makes when it is given f_star
-            trace.metrics["objective_gap"] = [
-                (k, value - f_star) for k, value in trace.metrics["objective"]
-            ]
-    return SensingResult(dict(zip(taus, results)), f_star)
+    nonpositive = {}
+    for tau, trace in zip(taus, results):
+        gaps = [(k, value - f_star) for k, value in trace.metrics["objective"]]
+        trace.metrics["objective_gap"] = gaps
+        nonpositive[tau] = sum(gap <= 0 for _, gap in gaps)
+    return SensingResult(dict(zip(taus, results)), f_star, nonpositive)
 
 
 def run_lsp(
@@ -226,15 +232,22 @@ def run_lsp(
 ):
     """Log-sum-penalized sensing runs from x = 0, one per tau through
     ``mapper`` (see ``run_l1``); traces record the stationarity measure
-    (the objective gap is not meaningful without convexity)."""
+    (the objective gap is not meaningful without convexity). With
+    ``stop_tol`` it is recorded at every step, and each run stops at the
+    first step where it is at most ``stop_tol``."""
     objective = lsp_objective(problem, theta)
     x0 = np.zeros(problem.a.shape[1])
+    stop = None
+    if stop_tol is not None:
+        stat_every = 1
+
+        def stop(trace):
+            return trace.metrics["epsilon_beta"][-1][1] <= stop_tol
 
     def unit(tau):
         return _sensing_trace(
-            objective, tau, beta, m, iterations, x0, inner_alpha, stop_tol=stop_tol,
-            stop_metric="epsilon_beta" if stop_tol is not None else None,
-            stat_every=stat_every,
+            objective, tau, beta, m, iterations, x0, inner_alpha,
+            stat_every=stat_every, stop=stop,
         )
 
     return SensingResult(dict(zip(taus, mapper(unit, taus))), None)

@@ -117,9 +117,7 @@ class MultistepConfig:
     inner_m = None requests the exact prox (the objective must provide
     one). ``inner_alpha`` defaults to beta / (beta L + 1) at run time.
     Warmup: "ramp" grows the BDF order while fewer than tau iterates
-    exist; "repeat" pads the history with x0. ``use_xi_bar_scaling``
-    optionally applies the classical BDF step scaling beta_eff =
-    xi_bar * beta.
+    exist; "repeat" pads the history with x0.
     """
 
     tau: int
@@ -128,8 +126,6 @@ class MultistepConfig:
     inner_m: Optional[int] = 8
     inner_alpha: Optional[float] = None
     warmup: str = "ramp"
-    xi_bar: Optional[float] = None
-    use_xi_bar_scaling: bool = False
     inner_start: str = "previous"
 
     def __post_init__(self):
@@ -150,16 +146,10 @@ class MultistepConfig:
             raise ValidationError(f"unknown warmup policy {self.warmup!r}")
         if self.inner_start not in ("previous", "mixed"):
             raise ValidationError(f"unknown inner_start {self.inner_start!r}")
-        if self.use_xi_bar_scaling and self.xi_bar is None:
-            raise ValidationError("use_xi_bar_scaling requires xi_bar")
 
     @classmethod
     def bdf(cls, tau, beta, **kwargs):
-        xi, xi_bar = bdf_coefficients(tau)
-        return cls(tau=tau, xi=tuple(xi), beta=beta, xi_bar=xi_bar, **kwargs)
-
-    def effective_beta(self):
-        return self.xi_bar * self.beta if self.use_xi_bar_scaling else self.beta
+        return cls(tau=tau, xi=tuple(bdf_coefficients(tau)[0]), beta=beta, **kwargs)
 
 
 def mix(states, xi):
@@ -334,47 +324,28 @@ def _memo_last(fn):
     return cached
 
 
-def run(
-    objective,
-    cfg,
-    x0,
-    iterations,
-    stop_tol=None,
-    stop_metric=None,
-    f_star=None,
-    stat_every=0,
-):
+def run(objective, cfg, x0, iterations, stat_every=0, stop=None):
     """Run the multistep iteration for ``iterations`` outer steps.
 
     Each step is ``approx_prox`` (or the exact prox when ``cfg.inner_m``
     is None) on the mixed iterate. The trace records the metrics
-    "objective", "objective_gap" (when ``f_star`` is given),
-    "iterate_error" (when the minimizer is known) and "epsilon_beta"
-    (every ``stat_every`` iterations when that is > 0); ``trace.state``
-    holds the last iterate. ``inner_steps`` counts the inner steps each
-    outer step ran: none from ``trace.fixed_at`` on. Stops early when
-    ``stop_metric`` (one of those metric names) drops to ``stop_tol``;
-    ``stop_metric`` may instead be a predicate on the trace, called after
-    each step (``trace.state`` is then that step's iterate), which stops
-    the run when it returns true.
+    "objective", "iterate_error" (when the minimizer is known) and
+    "epsilon_beta" (every ``stat_every`` iterations when that is > 0);
+    ``trace.state`` holds the last iterate. ``inner_steps`` counts the
+    inner steps each outer step ran: none from ``trace.fixed_at`` on.
+    ``stop(trace)``, called after each step has been recorded
+    (``trace.state`` is then that step's iterate), stops the run when it
+    returns true.
     Divergence (non-finite iterate or norm above ``TOL.divergence_norm``)
     raises DivergenceError carrying the partial trace.
     """
     if iterations < 0:
         raise ValidationError(f"iterations must be >= 0, got {iterations}")
-    if not callable(stop_metric) and stop_metric not in (
-        None, "objective_gap", "iterate_error", "epsilon_beta"
-    ):
-        raise ValidationError(f"unknown stop metric {stop_metric!r}")
-    if stop_metric == "objective_gap" and f_star is None:
-        raise ValidationError("objective_gap stopping requires f_star")
-    if stop_metric == "iterate_error" and objective.minimizer is None:
-        raise ValidationError("iterate_error stopping requires a known minimizer")
     if cfg.inner_m is None and objective.exact_prox is None:
         raise ValidationError("inner_m=None requires an exact prox oracle")
 
     x0 = as_vector(x0, "x0")
-    beta = cfg.effective_beta()
+    beta = cfg.beta
     alpha = cfg.inner_alpha
     if alpha is None:
         alpha = beta / (beta * objective.smoothness + 1.0)
@@ -397,24 +368,13 @@ def run(
     def record(trace, k, state):
         x = state[0]
         trace.inner_steps.append(inner if k and trace.fixed_at is None else 0)
-        value = value_of(x)
-        trace.add("objective", k, value)
-        if f_star is not None:
-            trace.add("objective_gap", k, value - f_star)
+        trace.add("objective", k, value_of(x))
         if objective.minimizer is not None:
             trace.add("iterate_error", k, error_of(x))
-        if (stat_every > 0 and k % stat_every == 0) or stop_metric == "epsilon_beta":
+        if stat_every > 0 and k % stat_every == 0:
             trace.add("epsilon_beta", k, stationarity_of(x))
 
-    done = None
-    if callable(stop_metric):
-        done = stop_metric
-    elif stop_metric is not None and stop_tol is not None:
-
-        def done(trace):
-            return trace.metrics[stop_metric][-1][1] <= stop_tol
-
-    return iterate(step, (x0,), cfg.xi, iterations, record, cfg.warmup, done)
+    return iterate(step, (x0,), cfg.xi, iterations, record, cfg.warmup, stop)
 
 
 def epsilon_stationarity(objective, x, beta, inner_alpha=None):
@@ -475,7 +435,7 @@ def theorem_bounds(cfg, mu, smoothness, gamma):
     """Evaluate the theorem constants for a config on a (mu, L) problem."""
     if mu == 0:
         raise DegenerateParameterError("mu = 0 makes the beta bounds divide by zero")
-    beta = cfg.effective_beta()
+    beta = cfg.beta
     eta = sum(abs(v) for v in cfg.xi)
     denom = beta * mu + eta + 1.0
     if denom == 0:

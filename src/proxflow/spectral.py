@@ -375,7 +375,7 @@ def simulate_companion_check(spec, q, x0, steps):
     )
     # the iterates 1..steps, collected by a stop predicate that never stops
     iterates = []
-    run(objective, cfg, x0, steps, stop_metric=lambda trace: iterates.append(trace.state[0]))
+    run(objective, cfg, x0, steps, stop=lambda trace: iterates.append(trace.state[0]))
 
     m_mat = companion_matrix(spec, q)
     n = x0.size

@@ -36,5 +36,5 @@ def run_states(objective, cfg, x0, iterations, **kwargs):
         states.append(trace.state[0])
         return False
 
-    trace = run(objective, cfg, x0, iterations, stop_metric=collect, **kwargs)
+    trace = run(objective, cfg, x0, iterations, stop=collect, **kwargs)
     return trace, states

@@ -167,6 +167,19 @@ class TestRun:
             "1": None, "2": None, "3": None
         }
 
+    def test_run_json_counts_nonpositive_gaps_per_tau(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "l1", "--p", "20", "--q", "40", "--seed", "5", "--iters",
+                     "400", "--out", str(out)]) == 0
+        counts = json.loads((out / "run.json").read_text())["nonpositive_gaps"]
+        gaps = _trace_rows(out / "l1_traces.csv", "objective_gap")
+        assert counts == {
+            str(tau): sum(value <= 0 for _, value, _ in rows) for tau, rows in gaps.items()
+        }
+        # the runs of taus 2 and 3 reach objectives at or below the
+        # reference run's F*, and the log-scale plot leaves those points out
+        assert counts == {"1": 0, "2": 35, "3": 96}
+
     def test_lsp_stationary_start_plots_on_linear_axis(self, tmp_path):
         # seed 1: x0 = 0 is already stationary, so every epsilon_beta is 0
         out = tmp_path / "lsp"
@@ -216,6 +229,34 @@ class TestConfigPrecedence:
         with pytest.raises(SystemExit) as exc:
             main(["run", "altproj", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["figure1", "--m-list", "4", "--l-list", "2", "--beta-points", "3"],
+             "--tau", "1,1"),
+            (["figure1", "--l-list", "2", "--beta-points", "3"], "--m-list", "4,1,4"),
+            (["figure1", "--m-list", "4", "--beta-points", "3"], "--l-list", "2,2.0"),
+            (["run", "altproj"], "--tau", "2,2"),
+        ],
+        ids=["figure1-tau", "m-list", "l-list", "run-tau"],
+    )
+    def test_repeated_list_value_is_usage_error(
+        self, tmp_path, capsys, argv, flag, value, source
+    ):
+        # a repeated value would compute and write the same curve or run twice
+        if source == "flag":
+            argv = [*argv, flag, value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            argv = [*argv, "--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: repeated value" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_keys_by_dest_or_flag(self, tmp_path):
@@ -603,6 +644,14 @@ class TestAccel:
 
     def test_bad_rho_is_usage_error(self, tmp_path):
         assert main(["accel", "--rho", "1.5", "--out", str(tmp_path)]) == 2
+
+    def test_angles_may_repeat(self, tmp_path):
+        # principal angles can repeat, as in the pair --rho builds
+        out = tmp_path / "acc"
+        assert main(["accel", "--angles", "0.5,0.5,0.5", "--iters", "40",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config["angles"] == [0.5, 0.5, 0.5]
 
 
 class TestFigure1:

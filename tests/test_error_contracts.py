@@ -15,7 +15,6 @@ from proxflow.multistep import (
     Trace,
     approx_prox,
     quadratic_objective,
-    run,
 )
 from proxflow.numerics import (
     TOL,
@@ -64,13 +63,6 @@ def test_config_rejects_unknown_policies():
         MultistepConfig(tau=1, xi=(1.0,), beta=1.0, inner_start="bogus")
     with pytest.raises(ValidationError, match="tau"):
         MultistepConfig(tau=17, xi=(1.0,) * 17, beta=1.0)
-
-
-def test_run_rejects_unknown_stop_metric():
-    objective = quadratic_objective(QuadraticProblem.from_matrix(np.eye(2)))
-    cfg = MultistepConfig(tau=1, xi=(1.0,), beta=1.0)
-    with pytest.raises(ValidationError, match="stop metric"):
-        run(objective, cfg, np.ones(2), 1, stop_tol=0.1, stop_metric="bogus")
 
 
 def test_companion_spec_rejects_zero_m():

@@ -65,6 +65,22 @@ class TestGenSensing:
             gen_sensing(10, 10, "uniform", 0)
 
 
+def _assert_stopped_prefix(stopped, full, metric, tol):
+    """Each stopped trace is the full run's, every metric included, up to
+    the first step whose ``metric`` is at most ``tol``, and ends there."""
+    for tau, trace in stopped.traces.items():
+        whole = full.traces[tau]
+        n = len(trace.ks)
+        assert n < len(whole.ks)
+        assert (trace.ks, trace.inner_steps) == (whole.ks[:n], whole.inner_steps[:n])
+        assert trace.metrics.keys() == whole.metrics.keys()
+        for name, points in trace.metrics.items():
+            assert points == whole.metrics[name][:n]
+        values = trace.values(metric)
+        assert len(values) == n
+        assert values[-1] <= tol and all(v > tol for v in values[:-1])
+
+
 class TestRunL1:
     def test_unregularized_identity_single_exact_step(self):
         rng = seeded_rng(2)
@@ -109,15 +125,27 @@ class TestRunL1:
             assert trace.metrics == known.traces[tau].metrics
             assert len(trace.metrics["objective_gap"]) == 401
 
+    def test_stop_tol_gives_a_prefix_of_the_unstopped_run(self):
+        # the unstopped run with the same F*, cut at the first step whose
+        # gap is at most the tolerance
+        problem = gen_sensing(20, 40, "uniform", 5)
+        stopped = run_l1(problem, 0.01, [1, 2, 3], 1.0, 4, 400, stop_tol=1e-8)
+        full = run_l1(problem, 0.01, [1, 2, 3], 1.0, 4, 400, f_star=stopped.f_star)
+        _assert_stopped_prefix(stopped, full, "objective_gap", 1e-8)
+
     def test_trace_replay_consistency(self):
         # every iterate of run_l1's bdf2 run reproduces from its predecessors
         problem = gen_sensing(20, 40, "uniform", 4)
         result = run_l1(problem, 0.05, [2], 1.0, 4, 30, f_star=0.0)
         objective = lasso_objective(problem, 0.05)
         trace, states = run_states(
-            objective, MultistepConfig.bdf(2, 1.0, inner_m=4), np.zeros(40), 30, f_star=0.0
+            objective, MultistepConfig.bdf(2, 1.0, inner_m=4), np.zeros(40), 30
         )
-        assert trace.metrics == result.traces[2].metrics
+        # run_l1 adds the objective gap to every metric ``run`` records
+        l1_metrics = dict(result.traces[2].metrics)
+        gaps = l1_metrics.pop("objective_gap")
+        assert trace.metrics == l1_metrics
+        assert gaps == [(k, value - 0.0) for k, value in trace.metrics["objective"]]
         alpha = 1.0 / (objective.smoothness + 1.0)
         for k in (5, 12, 25):
             history = states[k - 2 : k]
@@ -145,6 +173,15 @@ class TestRunLsp:
         assert eps[-1] <= 1e-6
         assert trace.ks[-1] <= 5000
         assert eps[0] > eps[-1]
+
+    def test_stop_tol_gives_a_prefix_of_the_unstopped_run(self):
+        # with stop_tol, epsilon_beta is recorded at every step, and each run
+        # is the run that records it at every step, cut where it first
+        # reaches the tolerance
+        problem = gen_sensing(20, 50, "uniform", 0)
+        stopped = run_lsp(problem, 5.0, [1, 2, 3], 1.0, 4, 400, stop_tol=1e-8)
+        full = run_lsp(problem, 5.0, [1, 2, 3], 1.0, 4, 400, stat_every=1)
+        _assert_stopped_prefix(stopped, full, "epsilon_beta", 1e-8)
 
     def test_x_true_start_beats_random_start(self):
         problem = gen_sensing(20, 50, "uniform", 9)
