@@ -8,7 +8,10 @@
         per call. From degree 3 on, a call over several lambda grids is
         recorded as the two calls that ``spectral._group_max_radius``
         makes: the grids' endpoint rows, then the inner rows that the
-        Schur–Cohn certificate does not rule out.
+        Schur–Cohn certificate does not rule out. Prints the same counts
+        for ``_kernels.schur_stable_batch``, the Schur–Cohn test of
+        ``max_stable_alpha`` and of that certificate; its rows are not
+        saved.
     PYTHONPATH=src python3 scripts/kernel_inputs.py replay DIR [--backend B] [--save FILE]
         Calls the kernel again on every recorded call, in the recorded
         order and batches, and prints the time per command. ``--save``
@@ -35,28 +38,35 @@ COMMANDS = {
 
 def record(out):
     out.mkdir(parents=True, exist_ok=True)
-    kernel = _kernels.max_root_modulus_batch
+    kernel, schur = _kernels.max_root_modulus_batch, _kernels.schur_stable_batch
     for name, argv in COMMANDS.items():
-        calls = []
+        calls, schur_sizes = [], []
 
         def recording(coeffs, backend=None):
             calls.append(np.array(coeffs, dtype=float))
             return kernel(coeffs, backend)
 
+        def counting(coeffs):
+            schur_sizes.append(np.shape(coeffs))
+            return schur(coeffs)
+
         _kernels.max_root_modulus_batch = recording
+        _kernels.schur_stable_batch = counting
         try:
             with tempfile.TemporaryDirectory() as tmp:
                 cli.main([*argv, "--jobs", "1", "--out", tmp])
         finally:
             _kernels.max_root_modulus_batch = kernel
+            _kernels.schur_stable_batch = schur
         np.savez(out / f"{name}.npz", **{f"call{i:05d}": c for i, c in enumerate(calls)})
-        summarize(name, calls)
+        summarize(name, [c.shape for c in calls])
+        summarize(f"{name} schur_stable_batch", schur_sizes)
 
 
-def summarize(name, calls):
+def summarize(name, shapes):
     per_degree = defaultdict(list)
-    for c in calls:
-        per_degree[c.shape[1]].append(c.shape[0])
+    for rows, degree in shapes:
+        per_degree[degree].append(rows)
     for degree, sizes in sorted(per_degree.items()):
         print(
             f"{name} degree {degree}: {len(sizes)} calls, {sum(sizes)} rows, "

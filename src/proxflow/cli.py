@@ -32,6 +32,7 @@ their ``run.json`` gives the number used as ``workers``; ``accel`` takes
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -494,6 +495,13 @@ def _split_list(text, cast, distinct=True):
     return values
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -506,12 +514,12 @@ def _int_list(text):
 
 
 def _float_list(text):
-    return _split_list(text, float)
+    return _split_list(text, _finite_float)
 
 
 def _angle_list(text):
     # principal angles may repeat
-    return _split_list(text, float, distinct=False)
+    return _split_list(text, _finite_float, distinct=False)
 
 
 # Run kinds: what an option's defaults are keyed by. ``run`` has one per
@@ -567,30 +575,30 @@ OPTIONS = (
     Option("--tau", ("figure1", "run"), _int_list, dict.fromkeys(("figure1", *RUNS), (1, 2, 3))),
     Option("--m-list", ("figure1",), _int_list, {"figure1": (1, 4, 20)}),
     Option("--l-list", ("figure1",), _float_list, {"figure1": (2.0, 10.0)}),
-    Option("--beta", ("run",), float, dict.fromkeys(SENSING, 1.0)),
+    Option("--beta", ("run",), _finite_float, dict.fromkeys(SENSING, 1.0)),
     Option("--m", ("run",), int, dict.fromkeys(SENSING, 4)),
     Option(
-        "--alpha", ("figure1", "run"), float, {"figure1": 1.0, "run matfac": 0.1},
+        "--alpha", ("figure1", "run"), _finite_float, {"figure1": 1.0, "run matfac": 0.1},
         "figure1: inner proximal-gradient step size the radii are computed for "
         "(default 1.0); run l1, lsp: inner proximal-gradient step size (default "
         "beta / (beta L + 1)); run matfac: proximal weight of each block solve "
         "(default 0.1); run altproj: unused",
     ),
-    Option("--beta-min", ("figure1",), float, {"figure1": 0.05}),
-    Option("--beta-max", ("figure1",), float, {"figure1": 50.0}),
+    Option("--beta-min", ("figure1",), _finite_float, {"figure1": 0.05}),
+    Option("--beta-max", ("figure1",), _finite_float, {"figure1": 50.0}),
     Option("--beta-points", ("figure1",), _positive_int, {"figure1": 25}),
-    Option("--lambda", ("run",), float, {"run l1": 0.01}, dest="lam"),
-    Option("--theta", ("run",), float, {"run lsp": 5.0}),
-    Option("--sigma", ("run",), float, {"run altproj": 0.5}),
+    Option("--lambda", ("run",), _finite_float, {"run l1": 0.01}, dest="lam"),
+    Option("--theta", ("run",), _finite_float, {"run lsp": 5.0}),
+    Option("--sigma", ("run",), _finite_float, {"run altproj": 0.5}),
     Option("--rank", ("run",), int, {"run matfac": 10}),
-    Option("--rho", ("accel",), float, {"accel": 0.25}),
+    Option("--rho", ("accel",), _finite_float, {"accel": 0.25}),
     Option("--angles", ("accel",), _angle_list),
     Option(
         "--iters", ("run", "accel"), int,
         {**dict.fromkeys(SENSING, 2000), "run altproj": 300, "run matfac": 300,
          "accel": 400, "accel --angles": 400},
     ),
-    Option("--tol", ("run",), float),
+    Option("--tol", ("run",), _finite_float),
     Option("--p", ("run",), int, {"run l1": 50, "run lsp": 20}),
     Option("--q", ("run",), int, {"run l1": 100, "run lsp": 50}),
     Option("--n", ("run",), int, {"run altproj": 500, "run matfac": 100}),

@@ -15,6 +15,7 @@ Gelfand's formula asks of the lifted block matrix), taken in the worst
 case over the eigenvalues of Q.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,6 +58,11 @@ class CompanionSpec:
         self.xi = tuple(float(v) for v in self.xi)
         if len(self.xi) != self.tau or self.tau < 1:
             raise ValidationError("xi length must equal tau >= 1")
+        if not all(map(math.isfinite, (self.alpha, self.beta, *self.xi))):
+            raise ValidationError(
+                f"alpha, beta and xi must be finite, got alpha={self.alpha}, "
+                f"beta={self.beta}, xi={self.xi}"
+            )
         if self.alpha <= 0 or self.beta <= 0:
             raise ValidationError("alpha and beta must be > 0")
         if self.m < 1:
@@ -142,6 +148,8 @@ def _worst_radius(alpha, lams, spec):
 
 
 def _lambda_grid(mu, lmax):
+    if not (math.isfinite(mu) and math.isfinite(lmax)):
+        raise ValidationError(f"mu and L must be finite, got mu={mu}, L={lmax}")
     if mu < 0 or lmax < mu:
         raise ValidationError(f"need 0 <= mu <= L, got mu={mu}, L={lmax}")
     if mu == lmax:
@@ -174,6 +182,12 @@ class StableAlpha(NamedTuple):
     capped: bool = False
 
 
+# max_stable_alpha's results by its inputs: the tables ask for each m = 4
+# bound twice, once per table. Only validated inputs are stored, so no NaN,
+# which never equals itself, becomes a key.
+_STABLE_ALPHAS = {}
+
+
 def max_stable_alpha(mu, lmax, beta, m, tau, xi):
     """Largest inner step alpha keeping the worst-case radius below 1.
 
@@ -182,13 +196,42 @@ def max_stable_alpha(mu, lmax, beta, m, tau, xi):
     ``capped=True`` when the radius is below 1 there, so no bound was
     found inside the search interval. Each probe asks whether every root
     lies inside the unit circle with the Schur–Cohn test, which finds no
-    root.
+    root. Results are kept per input, so a repeated call computes
+    nothing. Raises ``ValidationError`` for a non-finite or out-of-range
+    input.
+    """
+    key = (float(mu), float(lmax), float(beta), m, tau, tuple(float(v) for v in xi))
+    if key not in _STABLE_ALPHAS:
+        _STABLE_ALPHAS[key] = _bisect_stable_alpha(mu, lmax, beta, m, tau, xi)
+    return _STABLE_ALPHAS[key]
+
+
+def _bisect_stable_alpha(mu, lmax, beta, m, tau, xi):
+    """The bisection of ``max_stable_alpha``, without its memo.
+
+    A probe first tests the one lambda row on which the last unstable
+    probe failed (at first L), and builds and tests every row only when
+    that row passes, so most unstable probes cost one row. The bisection
+    ends once the midpoint is ``lo`` or ``hi``: from then on every probe
+    would repeat a known answer.
     """
     spec = CompanionSpec(tau, tuple(xi), beta, beta, m)  # alpha placeholder
     lams = _lambda_grid(mu, lmax)
+    witness = lams.size - 1
 
     def stable(alpha):
-        return _kernels.schur_stable_batch(_coeff_rows(alpha, lams, spec)).all()
+        nonlocal witness
+        # a length-1 slice, not the scalar lams[witness]: numpy's scalar
+        # power can differ in the last bit from the array power that
+        # builds the full batch
+        row = _coeff_rows(alpha, lams[witness : witness + 1], spec)
+        if not _kernels.schur_stable_batch(row)[0]:
+            return False
+        inside = _kernels.schur_stable_batch(_coeff_rows(alpha, lams, spec))
+        if inside.all():
+            return True
+        witness = int(np.argmin(inside))
+        return False
 
     hi = 10.0 * beta
     if stable(hi):
@@ -204,6 +247,8 @@ def max_stable_alpha(mu, lmax, beta, m, tau, xi):
         return StableAlpha(0.0, False)
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if stable(mid):
             lo = mid
         else:

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import os
 import re
@@ -12,8 +11,9 @@ import pytest
 
 from proxflow.cli import main
 
+from test_snapshot import check_seeded, common
+
 ROOT = Path(__file__).resolve().parents[1]
-SNAPSHOT = ROOT / "perfbench" / "snapshot" / "snapshot.json"
 
 
 class TestTables:
@@ -51,7 +51,7 @@ class TestTables:
         # every row passes outright or carries a logged oracle discrepancy
         assert all(line.endswith(",1") for line in table2[1:] + table3[1:])
         # every computed value matches the benchmark snapshot (read only)
-        snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))["tables"]
+        snapshot = common.load_snapshot()["tables"]
         for name in ("table2", "table3"):
             with open(out / f"{name}.csv", newline="", encoding="utf-8") as fh:
                 rows = list(csv.DictReader(fh))
@@ -257,6 +257,44 @@ class TestConfigPrecedence:
             main([*argv, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert f"argument {flag}: repeated value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv, flag, prefix",
+        [
+            (["run", "l1"], "--beta", ""),
+            (["figure1"], "--alpha", ""),
+            (["run", "l1"], "--alpha", ""),
+            (["figure1"], "--beta-min", ""),
+            (["figure1"], "--beta-max", ""),
+            (["run", "l1"], "--lambda", ""),
+            (["run", "lsp"], "--theta", ""),
+            (["run", "altproj"], "--sigma", ""),
+            (["accel"], "--rho", ""),
+            (["run", "l1"], "--tol", ""),
+            (["figure1"], "--l-list", "2,"),
+            (["accel"], "--angles", "0.5,"),
+        ],
+    )
+    def test_non_finite_float_is_usage_error(
+        self, tmp_path, capsys, argv, flag, prefix, value, source
+    ):
+        # a NaN or inf would reach the computation (figure1 --l-list nan
+        # would write CSV rows with radius inf before failing), so every
+        # float option rejects it before anything is written
+        if source == "flag":
+            # --flag=-inf: a separate "-inf" would be taken for a flag
+            argv = [*argv, f"{flag}={prefix}{value}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: prefix + value}))
+            argv = [*argv, "--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_keys_by_dest_or_flag(self, tmp_path):
@@ -487,7 +525,7 @@ def _run_outputs(out, experiment):
     meta = json.loads((out / "run.json").read_text())
     meta.pop("workers")
     meta["config"].pop("jobs")
-    return meta, _trace_digest(out / f"{experiment}_traces.csv"), (
+    return meta, common.trace_digest(out / f"{experiment}_traces.csv"), (
         out / f"{experiment}.svg"
     ).read_bytes()
 
@@ -668,62 +706,18 @@ class TestFigure1:
         ET.parse(out / "figure1_L2_m4.svg")
 
 
-SEEDED = {
-    "run_l1": (["run", "l1"], "l1_traces.csv"),
-    "run_lsp": (["run", "lsp"], "lsp_traces.csv"),
-    "run_altproj": (["run", "altproj"], "altproj_traces.csv"),
-    "run_matfac": (["run", "matfac"], "matfac_traces.csv"),
-    "accel": (["accel"], "accel_traces.csv"),
-}
-
-
-def _trace_digest(path):
-    """sha256 of a trace CSV with the walltime_s column removed."""
-    h = hashlib.sha256()
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        header = next(rows)
-        drop = header.index("walltime_s")
-        for row in [header, *rows]:
-            del row[drop]
-            h.update((",".join(row) + "\n").encode())
-    return h.hexdigest()
-
-
-def _assert_trace_matches_snapshot(name, seed, out, threads=1):
-    # the benchmark snapshot's digests at this many BLAS threads; OpenBLAS
-    # gives bit-different traces at 1 and 2
-    args, trace_file = SEEDED[name]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PROXFLOW_")}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(threads)
-    subprocess.run(
-        [sys.executable, "-m", "proxflow.cli", *args, "--seed", str(seed),
-         "--out", str(out)],
-        env=env, check=True, capture_output=True, timeout=600,
-    )
-    snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
-    want = snapshot["seeded"][str(threads)][name][str(seed)]["digest"]
-    assert _trace_digest(out / trace_file) == want
-
-
-@pytest.mark.parametrize("name", sorted(SEEDED))
-def test_seed0_trace_bit_identical_to_snapshot(name, tmp_path):
-    _assert_trace_matches_snapshot(name, 0, tmp_path)
-
-
-@pytest.mark.parametrize("name", sorted(n for n in SEEDED if n.startswith("run_")))
+@pytest.mark.parametrize("name", sorted(n for n in common.SEEDED if n.startswith("run_")))
 def test_seed0_trace_bit_identical_to_snapshot_at_two_blas_threads(name, tmp_path):
     # the forked workers of run (default --jobs) keep the parent's BLAS
-    # thread count, and so its bits
-    _assert_trace_matches_snapshot(name, 0, tmp_path, threads=2)
+    # thread count, and so its bits; OpenBLAS gives bit-different traces
+    # at 1 and 2 threads
+    check_seeded(name, 0, 2, tmp_path)
 
 
 def test_stationary_lsp_start_bit_identical_to_snapshot(tmp_path):
     # seed 1 starts at a stationary point, so taus 1, 2 and 3 reuse a fixed
     # point from steps 3, 4 and 5 on
-    _assert_trace_matches_snapshot("run_lsp", 1, tmp_path)
+    check_seeded("run_lsp", 1, 1, tmp_path)
     fixed_at = json.loads((tmp_path / "run.json").read_text())["fixed_at"]
     assert fixed_at == {"1": 3, "2": 4, "3": 5}
 

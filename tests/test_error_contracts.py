@@ -24,7 +24,7 @@ from proxflow.numerics import (
     sym_eigen,
 )
 from proxflow.prox_ops import QuadraticProblem, prox_lsp
-from proxflow.spectral import CompanionSpec, _lambda_grid
+from proxflow.spectral import CompanionSpec, _lambda_grid, max_stable_alpha
 from proxflow.altproj_accel import multistep_altproj_radius
 
 
@@ -81,6 +81,31 @@ def test_lambda_grid_rejects_bad_range():
         _lambda_grid(2.0, 1.0)
     with pytest.raises(ValidationError):
         _lambda_grid(-0.1, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_spectral_parameters_are_rejected(bad):
+    # a NaN compares false with every bound, so range checks alone let it
+    # through, and max_stable_alpha would report alpha = 0 as if no step
+    # were stable
+    with pytest.raises(ValidationError, match="finite"):
+        CompanionSpec(1, (1.0,), alpha=bad, beta=1.0, m=1)
+    with pytest.raises(ValidationError, match="finite"):
+        CompanionSpec(1, (1.0,), alpha=0.1, beta=bad, m=1)
+    with pytest.raises(ValidationError, match="finite"):
+        CompanionSpec(2, (0.5, bad), alpha=0.1, beta=1.0, m=1)
+    with pytest.raises(ValidationError, match="finite"):
+        _lambda_grid(bad, 1.0)
+    with pytest.raises(ValidationError, match="finite"):
+        _lambda_grid(1.0, bad)
+    for args in [
+        (bad, 2.0, 1.0, 4, 1, (1.0,)),
+        (1.0, bad, 1.0, 4, 1, (1.0,)),
+        (1.0, 2.0, bad, 4, 1, (1.0,)),
+        (1.0, 2.0, 1.0, 4, 2, (bad, 0.5)),
+    ]:
+        with pytest.raises(ValidationError, match="finite"):
+            max_stable_alpha(*args)
 
 
 def test_gen_sensing_rejects_unknown_spectrum():

@@ -4,6 +4,8 @@ Each command runs as the benchmark harness runs it (``perfbench/common.py``,
 used read-only): in a fresh interpreter with the package from ``src/`` and
 one BLAS thread. ``check_output`` compares its exit code, its walltime-free
 trace digest and its ``run.json`` keys with ``perfbench/snapshot``.
+``tests/test_cli.py`` checks more seeds and thread counts with
+``check_seeded``.
 """
 
 import importlib.util
@@ -18,11 +20,18 @@ common = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(common)
 
 
+def check_seeded(name, seed, threads, out):
+    """Run one seeded command as the harness does; it must exit 0 and match
+    the snapshot at ``threads`` BLAS threads."""
+    argv = common.cli_argv([*common.SEEDED[name], "--seed", str(seed)], out)
+    proc = subprocess.run(
+        argv, env=common.child_env(threads), cwd=common.ROOT, capture_output=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    snapshot = common.load_snapshot()
+    assert common.check_output(snapshot, name, seed, threads, out, proc.returncode) == []
+
+
 @pytest.mark.parametrize("name", sorted(common.SEEDED))
 def test_seed0_matches_benchmark_snapshot(name, tmp_path):
-    argv = common.cli_argv([*common.SEEDED[name], "--seed", "0"], tmp_path)
-    proc = subprocess.run(
-        argv, env=common.child_env(1), cwd=common.ROOT, capture_output=True, timeout=600
-    )
-    snapshot = common.load_snapshot()
-    assert common.check_output(snapshot, name, 0, 1, tmp_path, proc.returncode) == []
+    check_seeded(name, 0, 1, tmp_path)

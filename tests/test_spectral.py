@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from proxflow import _kernels
+from proxflow import _kernels, spectral
 from proxflow.experiments import emit_table
 from proxflow.multistep import bdf_coefficients
 from proxflow.numerics import ValidationError, seeded_rng
@@ -14,6 +14,7 @@ from proxflow.spectral import (
     _ALPHA_GRID_POINTS,
     _COARSE_STRIDE,
     CompanionSpec,
+    StableAlpha,
     _coeff_rows,
     _lambda_grid,
     _lattice_argmin,
@@ -155,31 +156,143 @@ class TestCertifiedMaximum:
         assert _worst_radius(alphas[:, None], lams, spec).tobytes() == want.tobytes()
 
 
-def durand_kerner_stable_alpha(mu, lmax, beta, m, tau, xi):
-    """``max_stable_alpha``'s bisection with its former root-modulus predicate."""
+def every_row_stable_alpha(mu, lmax, beta, m, tau, xi, stable):
+    """``max_stable_alpha``'s bisection as first written: every probe asks
+    ``stable(alpha, lams, spec)`` of every lambda row, for all 60 steps."""
     spec = CompanionSpec(tau, xi, beta, beta, m)
     lams = _lambda_grid(mu, lmax)
-
-    def stable(alpha):
-        return _worst_radius(alpha, lams, spec) < 1.0
-
     hi = probe = 10.0 * beta
-    if stable(hi):
-        return hi
+    if stable(hi, lams, spec):
+        return StableAlpha(hi, True, capped=True)
     for _ in range(60):
         probe /= 2.0
-        if stable(probe):
+        if stable(probe, lams, spec):
             lo = probe
             break
     else:
-        return 0.0
+        return StableAlpha(0.0, False)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if stable(mid):
+        if stable(mid, lams, spec):
             lo = mid
         else:
             hi = mid
-    return lo
+    return StableAlpha(lo, True)
+
+
+def schur_cohn_stable(alpha, lams, spec):
+    return _kernels.schur_stable_batch(_coeff_rows(alpha, lams, spec)).all()
+
+
+def root_modulus_stable(alpha, lams, spec):
+    """The former predicate of ``max_stable_alpha``."""
+    return _worst_radius(alpha, lams, spec) < 1.0
+
+
+# (tau, m, beta, L) of every table cell: table 2's are the m = 4 ones
+TABLE_CELLS = [
+    (tau, m, beta, lmax)
+    for tau in (1, 2, 3)
+    for m in (4, 20)
+    for beta in (1.0, 10.0)
+    for lmax in (2.0, 10.0)
+]
+
+
+@pytest.fixture
+def fresh_bounds(monkeypatch):
+    """An empty ``max_stable_alpha`` memo, and a log of the row count of
+    every ``schur_stable_batch`` call."""
+    monkeypatch.setattr(spectral, "_STABLE_ALPHAS", {})
+    sizes = []
+    schur = _kernels.schur_stable_batch
+
+    def counting(coeffs):
+        sizes.append(coeffs.shape[0])
+        return schur(coeffs)
+
+    monkeypatch.setattr(_kernels, "schur_stable_batch", counting)
+    return sizes
+
+
+class TestStableAlphaShortcuts:
+    """The memo, the witness row and the one-ulp stop keep every bit."""
+
+    def test_table_cells_equal_the_every_row_bisection(self, fresh_bounds):
+        for tau, m, beta, lmax in TABLE_CELLS:
+            xi = tuple(bdf_coefficients(tau)[0])
+            got = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
+            want = every_row_stable_alpha(1.0, lmax, beta, m, tau, xi, schur_cohn_stable)
+            assert (got.alpha.hex(), got.stable, got.capped) == (
+                want.alpha.hex(), want.stable, want.capped
+            )
+
+    @given(
+        tau=st.integers(1, 4),
+        m=st.integers(1, 20),
+        beta=st.floats(0.1, 10.0),
+        lmax=st.floats(1.0, 10.0),
+    )
+    # a root pair that meets the unit circle as a double root at L (beta L
+    # = 4 at tau 3, m = 1), and a capped cell
+    @example(tau=3, m=1, beta=1.0, lmax=4.0)
+    @example(tau=1, m=1, beta=0.1, lmax=1.0)
+    @settings(max_examples=40, deadline=None)
+    def test_random_cells_equal_the_every_row_bisection(self, tau, m, beta, lmax):
+        xi = tuple(bdf_coefficients(tau)[0])
+        got = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
+        want = every_row_stable_alpha(1.0, lmax, beta, m, tau, xi, schur_cohn_stable)
+        assert (got.alpha.hex(), got.stable, got.capped) == (
+            want.alpha.hex(), want.stable, want.capped
+        )
+
+    def test_a_repeated_call_makes_no_schur_call(self, fresh_bounds):
+        xi = tuple(bdf_coefficients(3)[0])
+        first = max_stable_alpha(1.0, 10.0, 1.0, 4, 3, xi)
+        assert fresh_bounds
+        fresh_bounds.clear()
+        # equal values of other types name the same cell
+        assert max_stable_alpha(1, 10, 1, 4, 3, list(xi)) is first
+        assert fresh_bounds == []
+
+    def test_each_key_input_recomputes(self, fresh_bounds):
+        bdf2, bdf3 = (tuple(bdf_coefficients(tau)[0]) for tau in (2, 3))
+        base = (1.0, 10.0, 1.0, 4, 3, bdf3)
+        max_stable_alpha(*base)
+        changed = [
+            (0.5, 10.0, 1.0, 4, 3, bdf3),
+            (1.0, 2.0, 1.0, 4, 3, bdf3),
+            (1.0, 10.0, 10.0, 4, 3, bdf3),
+            (1.0, 10.0, 1.0, 20, 3, bdf3),
+            (1.0, 10.0, 1.0, 4, 2, bdf2),
+            (1.0, 10.0, 1.0, 4, 3, (0.25, -1.0, 1.75)),
+        ]
+        for args in changed:
+            fresh_bounds.clear()
+            got = max_stable_alpha(*args)
+            assert fresh_bounds
+            assert got == every_row_stable_alpha(*args, schur_cohn_stable)
+
+    def test_a_failing_probe_mostly_tests_one_row(self, fresh_bounds, monkeypatch):
+        # every probe first tests the witness row, and the full 514 rows
+        # only when it passes: the bdf3, m = 4, beta = 1, L = 10 cell takes
+        # 65 probes, 29 of them full, about 0.45 of 514 rows per probe
+        grids = []
+
+        def recording(alpha, lams, spec):
+            grids.append(np.ndim(lams))
+            return _coeff_rows(alpha, lams, spec)
+
+        monkeypatch.setattr(spectral, "_coeff_rows", recording)
+        max_stable_alpha(1.0, 10.0, 1.0, 4, 3, tuple(bdf_coefficients(3)[0]))
+        # the witness row comes from a slice of the grid, never from a numpy
+        # scalar, whose ** can differ in the last bit from the array **
+        assert set(grids) == {1}
+        lams = _lambda_grid(1.0, 10.0).size
+        assert set(fresh_bounds) == {1, lams}
+        probes = fresh_bounds.count(1)
+        assert fresh_bounds.count(lams) < probes / 2
+        assert sum(fresh_bounds) < lams * probes / 2
 
 
 class TestMaxStableAlpha:
@@ -236,7 +349,7 @@ class TestMaxStableAlpha:
         # where the root-modulus radius itself can round to exactly 1
         xi = tuple(bdf_coefficients(tau)[0])
         got = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
-        want = durand_kerner_stable_alpha(1.0, lmax, beta, m, tau, xi)
+        want = every_row_stable_alpha(1.0, lmax, beta, m, tau, xi, root_modulus_stable).alpha
         assert abs(got.alpha - want) <= 8 * np.spacing(want)
         if got.stable:
             spec = CompanionSpec(tau, xi, got.alpha, beta, m)
