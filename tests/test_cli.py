@@ -706,6 +706,13 @@ class TestFigure1:
         ET.parse(out / "figure1_L2_m4.svg")
 
 
+@pytest.mark.parametrize("name", sorted(common.SEEDED))
+def test_seed0_trace_bit_identical_to_snapshot(name, tmp_path):
+    # the snapshot was recorded at the default --jobs; one process computes
+    # every tau in turn and must give the same bits
+    check_seeded(name, 0, 1, tmp_path, "--jobs", "1")
+
+
 @pytest.mark.parametrize("name", sorted(n for n in common.SEEDED if n.startswith("run_")))
 def test_seed0_trace_bit_identical_to_snapshot_at_two_blas_threads(name, tmp_path):
     # the forked workers of run (default --jobs) keep the parent's BLAS

@@ -4,8 +4,8 @@ Each command runs as the benchmark harness runs it (``perfbench/common.py``,
 used read-only): in a fresh interpreter with the package from ``src/`` and
 one BLAS thread. ``check_output`` compares its exit code, its walltime-free
 trace digest and its ``run.json`` keys with ``perfbench/snapshot``.
-``tests/test_cli.py`` checks more seeds and thread counts with
-``check_seeded``.
+``tests/test_cli.py`` checks more seeds, thread counts and ``--jobs 1``
+with ``check_seeded``.
 """
 
 import importlib.util
@@ -20,10 +20,11 @@ common = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(common)
 
 
-def check_seeded(name, seed, threads, out):
-    """Run one seeded command as the harness does; it must exit 0 and match
-    the snapshot at ``threads`` BLAS threads."""
-    argv = common.cli_argv([*common.SEEDED[name], "--seed", str(seed)], out)
+def check_seeded(name, seed, threads, out, *extra):
+    """Run one seeded command as the harness does, with ``extra`` options
+    added; it must exit 0 and match the snapshot at ``threads`` BLAS
+    threads."""
+    argv = common.cli_argv([*common.SEEDED[name], "--seed", str(seed), *extra], out)
     proc = subprocess.run(
         argv, env=common.child_env(threads), cwd=common.ROOT, capture_output=True, timeout=600
     )
