@@ -61,6 +61,7 @@ from .experiments import (
     run_l1,
     run_lsp,
     run_matfac,
+    svg_curves,
 )
 from .multistep import Trace, bdf_coefficients
 from .numerics import TOL, seeded_rng
@@ -122,7 +123,6 @@ def _method_xi(method):
 
 def _oracle_check(method, beta, m, alpha, mu, lmax):
     """Companion-simulation oracle for an out-of-tolerance table row."""
-    tau = METHOD_TAU[method]
     rng = seeded_rng(ORACLE_SEED)
     n = 6
     eigs = np.concatenate(([mu, lmax], rng.uniform(mu, lmax, n - 2)))
@@ -131,18 +131,18 @@ def _oracle_check(method, beta, m, alpha, mu, lmax):
     q = 0.5 * (q + q.T)
     x0 = rng.standard_normal(n)
     x0 /= np.linalg.norm(x0)
-    spec = CompanionSpec(tau, _method_xi(method), 0.9 * alpha, beta, m)
+    spec = CompanionSpec(_method_xi(method), 0.9 * alpha, beta, m)
     check = simulate_companion_check(spec, q, x0, 50)
     return check.discrepancy / max(1.0, check.max_norm)
 
 
 def _stable_alpha(method, m, beta, lmax):
-    bound = max_stable_alpha(1.0, lmax, beta, m, METHOD_TAU[method], _method_xi(method))
+    bound = max_stable_alpha(1.0, lmax, beta, m, _method_xi(method))
     return {"computed_alpha": bound.alpha}
 
 
 def _optimal_rate(method, m, beta, lmax):
-    best = optimal_rate(1.0, lmax, beta, m, METHOD_TAU[method], _method_xi(method))
+    best = optimal_rate(1.0, lmax, beta, m, _method_xi(method))
     return {"computed_rho": best.rho, "computed_alpha": best.alpha}
 
 
@@ -318,42 +318,30 @@ def cmd_figure1(args):
 
     def work(unit):
         lmax, m, tau = unit
-        return beta_scan(1.0, lmax, [m], args.alpha, [tau], betas)
+        return beta_scan(1.0, lmax, m, args.alpha, tau, betas)
 
     curves, workers = _parallel(work, units, args.jobs)
     curve = dict(zip(units, curves))
-    # a panel's rows are its taus' curves in --tau order, as beta_scan
-    # over all the taus would give them
-    results = [
-        ((lmax, m), [r for tau in args.tau for r in curve[lmax, m, tau]])
-        for lmax, m in panels
-    ]
-    out.mkdir(parents=True, exist_ok=True)
-    for (lmax, m), rows in results:
-        stem = f"figure1_L{lmax:g}_m{m}"
-        emit_table(rows, out / f"{stem}.csv")
+    plots = []
+    for lmax, m in panels:
+        per_tau = [curve[lmax, m, tau] for tau in args.tau]
         series = [
-            Trace(
-                tau,
-                experiment="figure1",
-                metrics={"radius": [(r["beta"], r["radius"]) for r in rows if r["tau"] == tau]},
-            )
-            for tau in args.tau
+            Trace(tau, "figure1", metrics={"radius": [(r["beta"], r["radius"]) for r in rows]})
+            for tau, rows in zip(args.tau, per_tau)
         ]
-        emit_svg(
-            series,
-            out / f"{stem}.svg",
-            AxesSpec(
-                title=f"radius vs beta (L={lmax:g}, m={m}, alpha={args.alpha:g})",
-                xlabel="beta",
-                ylabel="radius",
-                metric="radius",
-                ylog=False,
-                xlog=True,
-            ),
-        )
-    _write_metadata(out, "figure1", args, {"panels": len(results), "workers": workers})
-    print(f"figure1: {len(results)} panels written to {out}")
+        title = f"radius vs beta (L={lmax:g}, m={m}, alpha={args.alpha:g})"
+        axes = AxesSpec(title, "beta", "radius", "radius", ylog=False, xlog=True)
+        # a panel with nothing to plot fails before any file is written
+        svg_curves(series, axes)
+        # a panel's rows are its taus' curves in --tau order
+        rows = [r for curve_rows in per_tau for r in curve_rows]
+        plots.append((f"figure1_L{lmax:g}_m{m}", rows, series, axes))
+    out.mkdir(parents=True, exist_ok=True)
+    for stem, rows, series, axes in plots:
+        emit_table(rows, out / f"{stem}.csv")
+        emit_svg(series, out / f"{stem}.svg", axes)
+    _write_metadata(out, "figure1", args, {"panels": len(plots), "workers": workers})
+    print(f"figure1: {len(plots)} panels written to {out}")
     return 0
 
 
@@ -382,7 +370,7 @@ def cmd_run(args):
         traces = run_lsp(
             problem, args.theta, args.tau, args.beta, args.m, args.iters,
             stop_tol=args.tol, inner_alpha=args.alpha, mapper=pooled,
-        ).traces
+        )
         axes = AxesSpec(
             "lsp stationarity", "iteration", "epsilon_beta", "epsilon_beta"
         )

@@ -145,11 +145,10 @@ def reference_optimum(problem, lam, beta):
     1e-15 relative for 50 steps in a row; returns the best value seen.
     """
     objective = lasso_objective(problem, lam)
-    cfg = MultistepConfig(
-        tau=1, xi=(1.0,), beta=beta, inner_m=None if lam == 0.0 else 50
-    )
+    cfg = MultistepConfig(xi=(1.0,), beta=beta, inner_m=None if lam == 0.0 else 50)
     x0 = np.zeros(problem.a.shape[1])
-    best, stall = objective.value(x0), 0
+    # the stop predicate also sees the start, whose value is no stall
+    best, stall = objective.value(x0), -1
 
     def stagnated(trace):
         nonlocal best, stall
@@ -178,12 +177,12 @@ def _sensing_trace(objective, tau, beta, m, iterations, x0, inner_alpha, **kwarg
 
 @dataclass
 class SensingResult:
-    """Traces per tau; ``run_l1`` also gives F* and, per tau, how many of
+    """What ``run_l1`` gives: traces per tau, F* and, per tau, how many of
     its "objective_gap" points are not positive."""
 
     traces: dict
-    f_star: Optional[float]
-    nonpositive_gaps: Optional[dict] = None
+    f_star: float
+    nonpositive_gaps: dict
 
 
 def run_l1(
@@ -195,9 +194,10 @@ def run_l1(
     ``mapper(fn, items)`` maps the work units in item order, as the
     builtin ``map`` (the default) does. Without ``f_star``,
     ``reference_optimum`` gives F*: before the taus when ``stop_tol`` stops
-    each of them at the first step whose objective gap is at most
-    ``stop_tol``, otherwise as a first unit next to them. Each tau's
-    "objective_gap" is filled in from its "objective" after the runs.
+    each of them at the first step, the start included, whose objective
+    gap is at most ``stop_tol``, otherwise as a first unit next to them.
+    Each tau's "objective_gap" is filled in from its "objective" after the
+    runs.
     """
     objective = lasso_objective(problem, lam)
     x0 = np.zeros(problem.a.shape[1])
@@ -230,11 +230,11 @@ def run_lsp(
     problem, theta, taus, beta, m, iterations, stop_tol=None, stat_every=25,
     inner_alpha=None, mapper=map,
 ):
-    """Log-sum-penalized sensing runs from x = 0, one per tau through
-    ``mapper`` (see ``run_l1``); traces record the stationarity measure
-    (the objective gap is not meaningful without convexity). With
+    """Log-sum-penalized sensing traces, one per tau in ``taus`` through
+    ``mapper`` (see ``run_l1``), from x = 0; they record the stationarity
+    measure (the objective gap is not meaningful without convexity). With
     ``stop_tol`` it is recorded at every step, and each run stops at the
-    first step where it is at most ``stop_tol``."""
+    first step, the start included, where it is at most ``stop_tol``."""
     objective = lsp_objective(problem, theta)
     x0 = np.zeros(problem.a.shape[1])
     stop = None
@@ -250,7 +250,7 @@ def run_lsp(
             stat_every=stat_every, stop=stop,
         )
 
-    return SensingResult(dict(zip(taus, mapper(unit, taus))), None)
+    return dict(zip(taus, mapper(unit, taus)))
 
 
 @dataclass
@@ -481,14 +481,15 @@ class AxesSpec:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def emit_svg(traces, path, axes):
-    """Self-contained static SVG line plot, one polyline per trace."""
+def svg_curves(traces, axes):
+    """The (trace, points) pairs ``emit_svg`` draws: each trace with a
+    point that ``axes`` can show, and those points.
+
+    Raises ``ValidationError`` when there is no such trace, so a caller
+    can check its plots before it writes any file.
+    """
     if not traces:
         raise ValidationError("no traces to plot")
-    width, height = 880, 540
-    left, right, top, bottom = 70, 150, 46, 56
-    plot_w, plot_h = width - left - right, height - top - bottom
-
     curves = []
     for s in traces:
         pts = [
@@ -500,6 +501,15 @@ def emit_svg(traces, path, axes):
             curves.append((s, pts))
     if not curves:
         raise ValidationError(f"metric {axes.metric!r} has no plottable points")
+    return curves
+
+
+def emit_svg(traces, path, axes):
+    """Self-contained static SVG line plot, one polyline per trace."""
+    curves = svg_curves(traces, axes)
+    width, height = 880, 540
+    left, right, top, bottom = 70, 150, 46, 56
+    plot_w, plot_h = width - left - right, height - top - bottom
 
     def tx(v):
         return np.log10(v) if axes.xlog else v

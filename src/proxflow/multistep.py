@@ -116,11 +116,11 @@ class MultistepConfig:
 
     inner_m = None requests the exact prox (the objective must provide
     one). ``inner_alpha`` defaults to beta / (beta L + 1) at run time.
-    Warmup: "ramp" grows the BDF order while fewer than tau iterates
-    exist; "repeat" pads the history with x0.
+    The order tau is the number of mixing weights ``xi``. Warmup: "ramp"
+    grows the BDF order while fewer than tau iterates exist; "repeat" pads
+    the history with x0.
     """
 
-    tau: int
     xi: tuple
     beta: float
     inner_m: Optional[int] = 8
@@ -131,9 +131,7 @@ class MultistepConfig:
     def __post_init__(self):
         self.xi = tuple(float(v) for v in self.xi)
         if not 1 <= self.tau <= 16:
-            raise ValidationError(f"tau must be in 1..16, got {self.tau}")
-        if len(self.xi) != self.tau:
-            raise ValidationError(f"xi has length {len(self.xi)}, expected {self.tau}")
+            raise ValidationError(f"xi must hold 1..16 weights, got {self.tau}")
         if abs(sum(self.xi) - 1.0) > TOL.mixing_weight_sum:
             raise ValidationError(f"xi must sum to 1, got {sum(self.xi)!r}")
         if self.beta <= 0:
@@ -147,9 +145,13 @@ class MultistepConfig:
         if self.inner_start not in ("previous", "mixed"):
             raise ValidationError(f"unknown inner_start {self.inner_start!r}")
 
+    @property
+    def tau(self):
+        return len(self.xi)
+
     @classmethod
     def bdf(cls, tau, beta, **kwargs):
-        return cls(tau=tau, xi=tuple(bdf_coefficients(tau)[0]), beta=beta, **kwargs)
+        return cls(xi=tuple(bdf_coefficients(tau)[0]), beta=beta, **kwargs)
 
 
 def mix(states, xi):
@@ -207,7 +209,8 @@ class Trace:
     ``emit_csv`` writes and ``emit_svg`` plots; ``ks`` and ``walltime_s``
     hold one entry per accepted state, and ``state`` is the last accepted
     state (a tuple of blocks). ``fixed_at`` is the first step accepted
-    without calling the step map (see ``iterate``), or None.
+    without calling the step map (see ``iterate``), or None, and
+    ``diverged_at`` the step at which the run diverged, or None.
     ``inner_steps`` is filled by ``run`` only.
     ``experiment`` and ``seed`` label the CSV rows.
     """
@@ -220,9 +223,12 @@ class Trace:
     walltime_s: list = field(default_factory=list)
     inner_steps: list = field(default_factory=list)
     state: Optional[tuple] = None
-    diverged: bool = False
     diverged_at: Optional[int] = None
     fixed_at: Optional[int] = None
+
+    @property
+    def diverged(self):
+        return self.diverged_at is not None
 
     def add(self, name, k, value):
         self.metrics.setdefault(name, []).append((k, value))
@@ -248,13 +254,14 @@ def iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
     weights ``xi``. ``step(mixed, last)`` returns the next state given the
     mixed state and the most recent one. ``record(trace, k, state)`` adds
     the metrics of each accepted state, the start included, and
-    ``stop(trace)``, checked after each step, ends the run early.
+    ``stop(trace)``, checked after each record, the start's included, ends
+    the run early.
 
     Warmup: "ramp" mixes with the BDF row of the available order while
     fewer than tau states exist (orders above 4 pad with x0); "repeat"
     fills the history with x0. A state with a non-finite block or a block
     norm above ``TOL.divergence_norm`` is rejected. Divergence, there or
-    raised by ``step`` or ``record``, marks the trace diverged at the
+    raised by ``step`` or ``record``, sets ``trace.diverged_at`` to the
     failing step and raises DivergenceError carrying it.
 
     ``step`` must be a deterministic function of its arguments. A step
@@ -272,6 +279,8 @@ def iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
     k = 0
     try:
         record(trace, 0, x0)
+        if stop is not None and stop(trace):
+            return trace
         for k in range(1, iterations + 1):
             t0 = time.perf_counter()
             last = states[-1]
@@ -305,7 +314,6 @@ def iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
             if stop is not None and stop(trace):
                 break
     except DivergenceError as err:
-        trace.diverged = True
         trace.diverged_at = k
         err.trace = trace
         raise
@@ -333,8 +341,8 @@ def run(objective, cfg, x0, iterations, stat_every=0, stop=None):
     "epsilon_beta" (every ``stat_every`` iterations when that is > 0);
     ``trace.state`` holds the last iterate. ``inner_steps`` counts the
     inner steps each outer step ran: none from ``trace.fixed_at`` on.
-    ``stop(trace)``, called after each step has been recorded
-    (``trace.state`` is then that step's iterate), stops the run when it
+    ``stop(trace)``, called after the start and each step have been
+    recorded (``trace.state`` is then that iterate), stops the run when it
     returns true.
     Divergence (non-finite iterate or norm above ``TOL.divergence_norm``)
     raises DivergenceError carrying the partial trace.

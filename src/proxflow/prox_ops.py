@@ -5,12 +5,12 @@ dimension, and weight 0 is the identity. These are the inner oracles
 consumed by the multistep driver.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .numerics import (
-    TOL,
     ValidationError,
     as_matrix,
     as_vector,
@@ -98,39 +98,22 @@ def prox_lsp(x, theta, beta):
 class QuadraticProblem:
     """Quadratic objective f(x) = (1/2) x^T Q x + c^T x with Q symmetric PSD.
 
-    ``mu`` and ``L`` are the extreme eigenvalues of Q; the constructor
-    checks them against a fresh eigendecomposition.
+    ``c`` defaults to 0. ``mu`` and ``lmax`` (L) are the extreme
+    eigenvalues of Q, computed once by the constructor.
     """
 
     q: np.ndarray
-    c: np.ndarray
-    mu: float
-    lmax: float
+    c: Optional[np.ndarray] = None
+    mu: float = field(init=False)
+    lmax: float = field(init=False)
 
     def __post_init__(self):
         self.q = as_matrix(self.q, "Q")
-        self.c = as_vector(self.c, "c")
+        self.c = np.zeros(self.q.shape[0]) if self.c is None else as_vector(self.c, "c")
         if self.q.shape[0] != self.c.size:
             raise ValidationError("Q and c dimensions disagree")
-        if self.mu > self.lmax:
-            raise ValidationError(f"mu={self.mu} exceeds L={self.lmax}")
         w = sym_eigen(self.q)
-        scale = max(abs(w[0]), abs(w[-1]), 1.0)
-        if abs(w[0] - self.mu) > TOL.spectrum_match * scale or abs(
-            w[-1] - self.lmax
-        ) > TOL.spectrum_match * scale:
-            raise ValidationError(
-                f"(mu, L)=({self.mu}, {self.lmax}) do not match the spectrum "
-                f"extremes ({w[0]}, {w[-1]})"
-            )
-
-    @classmethod
-    def from_matrix(cls, q, c=None):
-        q = as_matrix(q, "Q")
-        if c is None:
-            c = np.zeros(q.shape[0])
-        w = sym_eigen(q)
-        return cls(q, c, float(w[0]), float(w[-1]))
+        self.mu, self.lmax = float(w[0]), float(w[-1])
 
     def value(self, x):
         return 0.5 * float(x @ self.q @ x) + float(self.c @ x)

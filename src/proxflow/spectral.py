@@ -46,9 +46,8 @@ class StabilityError(ArithmeticError):
 
 @dataclass
 class CompanionSpec:
-    """Parameters of the lifted first-order system."""
+    """Parameters of the lifted first-order system; tau is ``len(xi)``."""
 
-    tau: int
     xi: tuple
     alpha: float
     beta: float
@@ -56,8 +55,10 @@ class CompanionSpec:
 
     def __post_init__(self):
         self.xi = tuple(float(v) for v in self.xi)
-        if len(self.xi) != self.tau or self.tau < 1:
-            raise ValidationError("xi length must equal tau >= 1")
+        if not 1 <= self.tau <= TOL.max_poly_degree:
+            raise ValidationError(
+                f"xi must hold 1..{TOL.max_poly_degree} weights, got {self.tau}"
+            )
         if not all(map(math.isfinite, (self.alpha, self.beta, *self.xi))):
             raise ValidationError(
                 f"alpha, beta and xi must be finite, got alpha={self.alpha}, "
@@ -67,8 +68,10 @@ class CompanionSpec:
             raise ValidationError("alpha and beta must be > 0")
         if self.m < 1:
             raise ValidationError(f"m must be >= 1, got {self.m}")
-        if self.tau > TOL.max_poly_degree:
-            raise ValidationError(f"tau must be <= {TOL.max_poly_degree}, got {self.tau}")
+
+    @property
+    def tau(self):
+        return len(self.xi)
 
 
 def _coeff_rows(alpha, lams, spec):
@@ -158,21 +161,17 @@ def _lambda_grid(mu, lmax):
     return np.concatenate(([mu], np.geomspace(lo, lmax, _LAMBDA_GRID_POINTS), [lmax]))
 
 
-def spectrum_radius(spec, mu, lmax):
-    """Worst-case radius over eigenvalues in [mu, L] (514-point grid).
+def spectrum_radius(specs, mu, lmax):
+    """Worst-case radius of each ``CompanionSpec`` in the list ``specs``
+    over eigenvalues in [mu, L], as an array.
 
-    The grid is mu, 512 log-spaced points and L. ``spec`` is one
-    ``CompanionSpec``, giving a float, or a list of them, giving an array
-    of their radii from at most two kernel calls (``_group_max_radius``).
-    A radius has the same bits either way, because the kernel's result for
-    a row does not depend on the other rows of its batch.
+    The 514-point grid is mu, 512 log-spaced points and L. All radii come
+    from at most two kernel calls (``_group_max_radius``); a radius does
+    not depend on the other specs, because the kernel's result for a row
+    does not depend on the other rows of its batch.
     """
-    if isinstance(spec, CompanionSpec):
-        return float(spectrum_radius([spec], mu, lmax)[0])
     lams = _lambda_grid(mu, lmax)
-    if not spec:
-        return np.empty(0)
-    rows = np.concatenate([_coeff_rows(s.alpha, lams, s) for s in spec])
+    rows = np.concatenate([_coeff_rows(s.alpha, lams, s) for s in specs])
     return _group_max_radius(rows, lams.size)
 
 
@@ -188,7 +187,7 @@ class StableAlpha(NamedTuple):
 _STABLE_ALPHAS = {}
 
 
-def max_stable_alpha(mu, lmax, beta, m, tau, xi):
+def max_stable_alpha(mu, lmax, beta, m, xi):
     """Largest inner step alpha keeping the worst-case radius below 1.
 
     Bisection over (0, 10 beta]; returns alpha = 0 with ``stable=False``
@@ -200,13 +199,13 @@ def max_stable_alpha(mu, lmax, beta, m, tau, xi):
     nothing. Raises ``ValidationError`` for a non-finite or out-of-range
     input.
     """
-    key = (float(mu), float(lmax), float(beta), m, tau, tuple(float(v) for v in xi))
+    key = (float(mu), float(lmax), float(beta), m, tuple(float(v) for v in xi))
     if key not in _STABLE_ALPHAS:
-        _STABLE_ALPHAS[key] = _bisect_stable_alpha(mu, lmax, beta, m, tau, xi)
+        _STABLE_ALPHAS[key] = _bisect_stable_alpha(mu, lmax, beta, m, xi)
     return _STABLE_ALPHAS[key]
 
 
-def _bisect_stable_alpha(mu, lmax, beta, m, tau, xi):
+def _bisect_stable_alpha(mu, lmax, beta, m, xi):
     """The bisection of ``max_stable_alpha``, without its memo.
 
     A probe first tests the one lambda row on which the last unstable
@@ -215,7 +214,7 @@ def _bisect_stable_alpha(mu, lmax, beta, m, tau, xi):
     ends once the midpoint is ``lo`` or ``hi``: from then on every probe
     would repeat a known answer.
     """
-    spec = CompanionSpec(tau, tuple(xi), beta, beta, m)  # alpha placeholder
+    spec = CompanionSpec(xi, beta, beta, m)  # alpha placeholder
     lams = _lambda_grid(mu, lmax)
     witness = lams.size - 1
 
@@ -289,7 +288,7 @@ def _lattice_argmin(alphas, lams, spec):
     return int(index[best]), float(worst[best])
 
 
-def optimal_rate(mu, lmax, beta, m, tau, xi):
+def optimal_rate(mu, lmax, beta, m, xi):
     """Smallest worst-case radius over alpha, and the minimizing alpha.
 
     The basin is located on the 2048-point lattice
@@ -301,13 +300,13 @@ def optimal_rate(mu, lmax, beta, m, tau, xi):
     piecewise smooth in alpha, with kinks where the maximizing root
     switches).
     """
-    bound = max_stable_alpha(mu, lmax, beta, m, tau, xi)
+    bound = max_stable_alpha(mu, lmax, beta, m, xi)
     if not bound.stable:
         raise StabilityError(
-            f"no stable step size for tau={tau}, beta={beta}, m={m}, "
+            f"no stable step size for tau={len(xi)}, beta={beta}, m={m}, "
             f"spectrum [{mu}, {lmax}]"
         )
-    spec = CompanionSpec(tau, tuple(xi), bound.alpha, beta, m)
+    spec = CompanionSpec(xi, bound.alpha, beta, m)
     lams = _lambda_grid(mu, lmax)
     alphas = np.linspace(bound.alpha / _ALPHA_GRID_POINTS, bound.alpha, _ALPHA_GRID_POINTS)
     best, best_rho = _lattice_argmin(alphas, lams, spec)
@@ -338,31 +337,27 @@ def optimal_rate(mu, lmax, beta, m, tau, xi):
     return OptimalRate(best_rho, best_alpha)
 
 
-def beta_scan(mu, lmax, m_list, alpha, tau_list, betas):
-    """Radius curves over a beta grid per (tau, m) pair, with BDF weights.
+def beta_scan(mu, lmax, m, alpha, tau, betas):
+    """The radius curve over a beta grid of the order-``tau`` BDF weights.
 
-    One dict per grid point, keyed by the figure-1 CSV columns. A curve
+    One dict per grid point, keyed by the figure-1 CSV columns. The curve
     takes one kernel call over the rows of all its betas.
     """
-    rows = []
+    xi = bdf_coefficients(tau)[0]
+    specs = [CompanionSpec(xi, alpha, beta, m) for beta in betas]
     span = f"[{mu:g},{lmax:g}]"
-    for tau in tau_list:
-        xi = tuple(bdf_coefficients(tau)[0])
-        for m in m_list:
-            specs = [CompanionSpec(tau, xi, alpha, beta, m) for beta in betas]
-            for beta, rho in zip(betas, spectrum_radius(specs, mu, lmax).tolist()):
-                rows.append(
-                    {
-                        "tau": tau,
-                        "m": m,
-                        "alpha": alpha,
-                        "beta": beta,
-                        "lambda_or_range": span,
-                        "radius": rho,
-                        "stable": int(rho < 1.0),
-                    }
-                )
-    return rows
+    return [
+        {
+            "tau": tau,
+            "m": m,
+            "alpha": alpha,
+            "beta": beta,
+            "lambda_or_range": span,
+            "radius": rho,
+            "stable": int(rho < 1.0),
+        }
+        for beta, rho in zip(betas, spectrum_radius(specs, mu, lmax).tolist())
+    ]
 
 
 def companion_matrix(spec, q):
@@ -403,14 +398,12 @@ def simulate_companion_check(spec, q, x0, steps):
     norm. The contract is
     discrepancy <= ``TOL.companion_discrepancy`` * max_norm.
     """
-    q = check_symmetric(q, "Q")
     x0 = as_vector(x0, "x0")
-    problem = QuadraticProblem.from_matrix(q)
+    problem = QuadraticProblem(q)
     if problem.mu < -TOL.spectrum_match:
         raise ValidationError(f"Q must be PSD, min eigenvalue {problem.mu}")
     objective = quadratic_objective(problem)
     cfg = MultistepConfig(
-        tau=spec.tau,
         xi=spec.xi,
         beta=spec.beta,
         inner_m=spec.m,
@@ -418,16 +411,16 @@ def simulate_companion_check(spec, q, x0, steps):
         warmup="repeat",
         inner_start="previous",
     )
-    # the iterates 1..steps, collected by a stop predicate that never stops
+    # the iterates 0..steps, collected by a stop predicate that never stops
     iterates = []
     run(objective, cfg, x0, steps, stop=lambda trace: iterates.append(trace.state[0]))
 
-    m_mat = companion_matrix(spec, q)
+    m_mat = companion_matrix(spec, problem.q)
     n = x0.size
     z = np.tile(x0, spec.tau)
     worst = 0.0
     scale = float(np.linalg.norm(x0))
-    for k, x in enumerate(iterates, 1):
+    for k, x in enumerate(iterates[1:], 1):
         z = m_mat @ z
         if not np.all(np.isfinite(z)) or np.linalg.norm(z) > TOL.divergence_norm:
             raise DivergenceError(f"companion recursion diverged at step {k}")

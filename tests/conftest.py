@@ -28,9 +28,10 @@ def random_symmetric_with_spectrum(rng, eigs):
 def run_states(objective, cfg, x0, iterations, **kwargs):
     """``multistep.run`` and the first block of every iterate, x0 included.
 
-    The iterates are collected by a stop predicate that never stops.
+    The iterates are collected by a stop predicate that never stops, which
+    ``run`` calls on the start too.
     """
-    states = [x0]
+    states = []
 
     def collect(trace):
         states.append(trace.state[0])

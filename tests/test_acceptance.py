@@ -63,7 +63,7 @@ def test_criterion_1_table2_ppm_rows():
     targets = {(1.0, 2.0): 0.667, (10.0, 2.0): 0.952, (1.0, 10.0): 0.182, (10.0, 10.0): 0.198}
     worst = 0.0
     for (beta, lmax), want in targets.items():
-        got = max_stable_alpha(1.0, lmax, beta, 4, 1, (1.0,))
+        got = max_stable_alpha(1.0, lmax, beta, 4, (1.0,))
         worst = max(worst, abs(got.alpha - want))
     elapsed = time.perf_counter() - t0
     report(
@@ -74,13 +74,13 @@ def test_criterion_1_table2_ppm_rows():
     )
 
 
-def _oracle_escape(tau, xi, beta, m, alpha, lmax):
+def _oracle_escape(xi, beta, m, alpha, lmax):
     rng = seeded_rng(424242)
     eigs = np.concatenate(([1.0, lmax], rng.uniform(1.0, lmax, 4)))
     q = random_symmetric_with_spectrum(rng, eigs)
     x0 = rng.standard_normal(q.shape[0])
     x0 /= np.linalg.norm(x0)
-    spec = CompanionSpec(tau, xi, 0.9 * alpha, beta, m)
+    spec = CompanionSpec(xi, 0.9 * alpha, beta, m)
     check = simulate_companion_check(spec, q, x0, 50)
     return check.discrepancy <= 1e-9 * max(1.0, check.max_norm)
 
@@ -98,9 +98,9 @@ def test_criterion_2_table2_bdf_rows():
     for (tau, beta), per_l in reference.items():
         xi = tuple(bdf_coefficients(tau)[0])
         for lmax, want in per_l.items():
-            got = max_stable_alpha(1.0, lmax, beta, 4, tau, xi)
+            got = max_stable_alpha(1.0, lmax, beta, 4, xi)
             if abs(got.alpha - want) > 0.02:
-                verified = _oracle_escape(tau, xi, beta, 4, got.alpha, lmax)
+                verified = _oracle_escape(xi, beta, 4, got.alpha, lmax)
                 escapes.append((tau, beta, lmax, round(got.alpha - want, 4), verified))
                 ok = ok and verified
     elapsed = time.perf_counter() - t0
@@ -124,7 +124,7 @@ def test_criterion_3_table3():
     }
     worst_ppm = 0.0
     for (m, beta, lmax), want in ppm_targets.items():
-        got = optimal_rate(1.0, lmax, beta, m, 1, (1.0,))
+        got = optimal_rate(1.0, lmax, beta, m, (1.0,))
         worst_ppm = max(worst_ppm, abs(got.rho - want))
 
     bdf_targets = {
@@ -142,10 +142,10 @@ def test_criterion_3_table3():
     for (tau, m, beta), per_l in bdf_targets.items():
         xi = tuple(bdf_coefficients(tau)[0])
         for lmax, want in per_l.items():
-            got = optimal_rate(1.0, lmax, beta, m, tau, xi)
+            got = optimal_rate(1.0, lmax, beta, m, xi)
             if abs(got.rho - want) > 0.02:
                 escaped += 1
-                bdf_ok = bdf_ok and _oracle_escape(tau, xi, beta, m, got.alpha, lmax)
+                bdf_ok = bdf_ok and _oracle_escape(xi, beta, m, got.alpha, lmax)
     elapsed = time.perf_counter() - t0
     report(
         3,
@@ -172,7 +172,7 @@ def test_criterion_4_companion_oracle():
         q = basis @ np.diag(eigs) @ basis.T
         q = 0.5 * (q + q.T)
         xi = tuple(bdf_coefficients(tau)[0])
-        spec = CompanionSpec(tau, xi, float(rng.uniform(0.05, 0.35)), 1.0, m)
+        spec = CompanionSpec(xi, float(rng.uniform(0.05, 0.35)), 1.0, m)
         x0 = rng.standard_normal(n)
         x0 /= np.linalg.norm(x0)
         check = simulate_companion_check(spec, q, x0, 50)
@@ -189,9 +189,9 @@ def test_criterion_4_companion_oracle():
 
 def test_criterion_5_exact_ppm_contraction():
     rng = seeded_rng(5)
-    problem = QuadraticProblem.from_matrix(np.eye(5), rng.standard_normal(5))
+    problem = QuadraticProblem(np.eye(5), rng.standard_normal(5))
     objective = quadratic_objective(problem)
-    cfg = MultistepConfig(tau=1, xi=(1.0,), beta=1.0, inner_m=None)
+    cfg = MultistepConfig(xi=(1.0,), beta=1.0, inner_m=None)
     trace = run(objective, cfg, rng.standard_normal(5), 30)
     errs = np.array(trace.values("iterate_error"))
     ratios = errs[1:] / errs[:-1]
@@ -212,9 +212,9 @@ def test_criterion_6_strongly_convex_bounds():
         mu = float(rng.uniform(0.5, 2.0))
         eigs = np.sort(np.concatenate([[mu], rng.uniform(mu, mu + 3.0, n - 1)]))
         q = random_symmetric_with_spectrum(rng, eigs)
-        objective = quadratic_objective(QuadraticProblem.from_matrix(q))
+        objective = quadratic_objective(QuadraticProblem(q))
         beta = max((eta - 1.0) / mu, 1e-3) * float(rng.uniform(1.0, 2.0))
-        cfg = MultistepConfig(tau=tau, xi=xi, beta=beta, inner_m=None, warmup="repeat")
+        cfg = MultistepConfig(xi=xi, beta=beta, inner_m=None, warmup="repeat")
         trace = run(objective, cfg, rng.standard_normal(n), 16)
         errs = np.array(trace.values("iterate_error"))
         base = errs[:tau].max()
@@ -229,13 +229,13 @@ def test_criterion_6_strongly_convex_bounds():
         xi = tuple(bdf_coefficients(2)[0])
         eta = sum(abs(v) for v in xi)
         gamma = gamma_bound(beta, lmax, m)
-        probe = MultistepConfig(tau=2, xi=xi, beta=beta, inner_m=None)
+        probe = MultistepConfig(xi=xi, beta=beta, inner_m=None)
         assert gamma < theorem_bounds(probe, mu, lmax, 0.0).gamma_max
         eigs = np.sort(np.concatenate([[mu, lmax], rng.uniform(mu, lmax, 2)]))
         q = random_symmetric_with_spectrum(rng, eigs)
-        objective = quadratic_objective(QuadraticProblem.from_matrix(q))
+        objective = quadratic_objective(QuadraticProblem(q))
         cfg = MultistepConfig(
-            tau=2, xi=xi, beta=beta, inner_m=m, warmup="repeat", inner_start="mixed"
+            xi=xi, beta=beta, inner_m=m, warmup="repeat", inner_start="mixed"
         )
         trace = run(objective, cfg, rng.standard_normal(4), 20)
         errs = np.array(trace.values("iterate_error"))
@@ -264,7 +264,7 @@ def test_criterion_7_gamma_contractiveness():
         lmax = mu + float(rng.uniform(0.1, 4.0))
         eigs = np.concatenate([[mu, lmax], rng.uniform(mu, lmax, max(n - 2, 0))])[:n]
         q = random_symmetric_with_spectrum(rng, np.sort(eigs))
-        problem = QuadraticProblem.from_matrix(q)
+        problem = QuadraticProblem(q)
         objective = quadratic_objective(problem)
         beta = float(rng.uniform(0.2, 5.0))
         alpha = beta / (beta * lmax + 1.0)
@@ -380,7 +380,7 @@ def test_criterion_11a_experiments_complete(tmp_path):
 
     lsp_problem = gen_sensing(20, 50, "uniform", 7)
     lsp_result = run_lsp(lsp_problem, 5.0, [1, 2, 3], 1.0, 4, 600, stop_tol=1e-8)
-    for tau, tr in lsp_result.traces.items():
+    for tau, tr in lsp_result.items():
         tr.experiment, tr.seed = "lsp", 7
         series.append(tr)
 

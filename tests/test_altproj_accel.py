@@ -82,9 +82,9 @@ class TestMultistepAltprojRadius:
             beta = 1.0
             alpha = lam * beta
             lam_q = (1.0 - lam) / alpha
-            spec = CompanionSpec(tau, xi, alpha, beta, 1)
+            spec = CompanionSpec(xi, alpha, beta, 1)
             assert multistep_altproj_radius(lam, xi) == pytest.approx(
-                spectrum_radius(spec, lam_q, lam_q), abs=1e-12
+                spectrum_radius([spec], lam_q, lam_q)[0], abs=1e-12
             )
 
 

@@ -188,6 +188,15 @@ class TestRun:
         ET.parse(out / "lsp.svg")
         assert (out / "run.json").exists()
 
+    def test_lsp_tol_met_at_the_start_takes_no_step(self, tmp_path):
+        # seed 3: x0 = 0 is stationary, so each tau stops at k = 0
+        out = tmp_path / "lsp"
+        assert main(["run", "lsp", "--tol", "1e-8", "--seed", "3", "--out", str(out)]) == 0
+        eps = _trace_rows(out / "lsp_traces.csv", "epsilon_beta")
+        assert eps == {tau: [(0, 0.0, 0)] for tau in (1, 2, 3)}
+        objective = _trace_rows(out / "lsp_traces.csv", "objective")
+        assert [[k for k, _, _ in rows] for rows in objective.values()] == [[0]] * 3
+
     def test_altproj_sigma_flag(self, tmp_path):
         out = tmp_path / "ap"
         code = main(
@@ -704,6 +713,19 @@ class TestFigure1:
         assert code == 0
         assert (out / "figure1_L2_m4.csv").exists()
         ET.parse(out / "figure1_L2_m4.svg")
+
+    def test_unplottable_panel_writes_no_file(self, tmp_path, capsys):
+        # at alpha = 1e308 every radius is inf, so the panel has no point
+        out = tmp_path / "fig"
+        code = main(
+            [
+                "figure1", "--alpha", "1e308", "--tau", "3", "--m-list", "4", "--l-list",
+                "2", "--beta-points", "3", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "metric 'radius' has no plottable points" in capsys.readouterr().err
+        assert list(tmp_path.glob("**/figure1_*")) == []
 
 
 @pytest.mark.parametrize("name", sorted(common.SEEDED))

@@ -51,29 +51,32 @@ def test_prox_lsp_negative_weight():
 
 
 def test_approx_prox_negative_m():
-    objective = quadratic_objective(QuadraticProblem.from_matrix(np.eye(2)))
+    objective = quadratic_objective(QuadraticProblem(np.eye(2)))
     with pytest.raises(ValidationError):
         approx_prox(objective, np.ones(2), np.ones(2), 1.0, -1, 0.1)
 
 
 def test_config_rejects_unknown_policies():
     with pytest.raises(ValidationError, match="warmup"):
-        MultistepConfig(tau=1, xi=(1.0,), beta=1.0, warmup="bogus")
+        MultistepConfig(xi=(1.0,), beta=1.0, warmup="bogus")
     with pytest.raises(ValidationError, match="inner_start"):
-        MultistepConfig(tau=1, xi=(1.0,), beta=1.0, inner_start="bogus")
-    with pytest.raises(ValidationError, match="tau"):
-        MultistepConfig(tau=17, xi=(1.0,) * 17, beta=1.0)
+        MultistepConfig(xi=(1.0,), beta=1.0, inner_start="bogus")
 
 
 def test_companion_spec_rejects_zero_m():
     with pytest.raises(ValidationError, match="m"):
-        CompanionSpec(1, (1.0,), alpha=0.1, beta=1.0, m=0)
+        CompanionSpec((1.0,), alpha=0.1, beta=1.0, m=0)
 
 
 def test_companion_spec_rejects_tau_above_kernel_degree():
     tau = TOL.max_poly_degree + 1
-    with pytest.raises(ValidationError, match="tau"):
-        CompanionSpec(tau, (1.0 / tau,) * tau, alpha=0.1, beta=1.0, m=1)
+    with pytest.raises(ValidationError, match="weights"):
+        CompanionSpec((1.0 / tau,) * tau, alpha=0.1, beta=1.0, m=1)
+
+
+def test_companion_spec_rejects_empty_xi():
+    with pytest.raises(ValidationError, match="weights"):
+        CompanionSpec((), alpha=0.1, beta=1.0, m=1)
 
 
 def test_lambda_grid_rejects_bad_range():
@@ -89,20 +92,20 @@ def test_non_finite_spectral_parameters_are_rejected(bad):
     # through, and max_stable_alpha would report alpha = 0 as if no step
     # were stable
     with pytest.raises(ValidationError, match="finite"):
-        CompanionSpec(1, (1.0,), alpha=bad, beta=1.0, m=1)
+        CompanionSpec((1.0,), alpha=bad, beta=1.0, m=1)
     with pytest.raises(ValidationError, match="finite"):
-        CompanionSpec(1, (1.0,), alpha=0.1, beta=bad, m=1)
+        CompanionSpec((1.0,), alpha=0.1, beta=bad, m=1)
     with pytest.raises(ValidationError, match="finite"):
-        CompanionSpec(2, (0.5, bad), alpha=0.1, beta=1.0, m=1)
+        CompanionSpec((0.5, bad), alpha=0.1, beta=1.0, m=1)
     with pytest.raises(ValidationError, match="finite"):
         _lambda_grid(bad, 1.0)
     with pytest.raises(ValidationError, match="finite"):
         _lambda_grid(1.0, bad)
     for args in [
-        (bad, 2.0, 1.0, 4, 1, (1.0,)),
-        (1.0, bad, 1.0, 4, 1, (1.0,)),
-        (1.0, 2.0, bad, 4, 1, (1.0,)),
-        (1.0, 2.0, 1.0, 4, 2, (bad, 0.5)),
+        (bad, 2.0, 1.0, 4, (1.0,)),
+        (1.0, bad, 1.0, 4, (1.0,)),
+        (1.0, 2.0, bad, 4, (1.0,)),
+        (1.0, 2.0, 1.0, 4, (bad, 0.5)),
     ]:
         with pytest.raises(ValidationError, match="finite"):
             max_stable_alpha(*args)

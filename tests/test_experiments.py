@@ -67,9 +67,10 @@ class TestGenSensing:
 
 def _assert_stopped_prefix(stopped, full, metric, tol):
     """Each stopped trace is the full run's, every metric included, up to
-    the first step whose ``metric`` is at most ``tol``, and ends there."""
-    for tau, trace in stopped.traces.items():
-        whole = full.traces[tau]
+    the first step whose ``metric`` is at most ``tol``, and ends there.
+    Both runs are dicts of traces by tau."""
+    for tau, trace in stopped.items():
+        whole = full[tau]
         n = len(trace.ks)
         assert n < len(whole.ks)
         assert (trace.ks, trace.inner_steps) == (whole.ks[:n], whole.inner_steps[:n])
@@ -131,7 +132,7 @@ class TestRunL1:
         problem = gen_sensing(20, 40, "uniform", 5)
         stopped = run_l1(problem, 0.01, [1, 2, 3], 1.0, 4, 400, stop_tol=1e-8)
         full = run_l1(problem, 0.01, [1, 2, 3], 1.0, 4, 400, f_star=stopped.f_star)
-        _assert_stopped_prefix(stopped, full, "objective_gap", 1e-8)
+        _assert_stopped_prefix(stopped.traces, full.traces, "objective_gap", 1e-8)
 
     def test_trace_replay_consistency(self):
         # every iterate of run_l1's bdf2 run reproduces from its predecessors
@@ -167,8 +168,7 @@ class TestRunLsp:
 
     def test_stationarity_regression_seed11(self):
         problem = gen_sensing(20, 50, "uniform", 11)
-        result = run_lsp(problem, 5.0, [2], 1.0, 4, 5000, stop_tol=1e-6, stat_every=1)
-        trace = result.traces[2]
+        trace = run_lsp(problem, 5.0, [2], 1.0, 4, 5000, stop_tol=1e-6, stat_every=1)[2]
         eps = trace.values("epsilon_beta")
         assert eps[-1] <= 1e-6
         assert trace.ks[-1] <= 5000
@@ -394,7 +394,6 @@ class TestSerialization:
 
     def test_diverged_flag_on_last_row_only(self, tmp_path):
         series = self._series()
-        series[0].diverged = True
         series[0].diverged_at = series[0].metrics["objective"][-1][0]
         path = tmp_path / "d.csv"
         emit_csv(series, path)

@@ -215,7 +215,7 @@ def _stability_rows():
     for tau in (3, 4):
         xi = tuple(bdf_coefficients(tau)[0])
         for m, beta in ((1, 0.5), (4, 1.0), (20, 10.0)):
-            spec = CompanionSpec(tau, xi, 1.0, beta, m)
+            spec = CompanionSpec(xi, 1.0, beta, m)
             rows.append(_coeff_rows(np.linspace(0.01, 1.0, 20)[:, None], lams, spec))
     return rows
 

@@ -97,7 +97,7 @@ class TestMix:
 
 class TestApproxProx:
     def setup_method(self):
-        self.problem = QuadraticProblem.from_matrix(np.diag([1.0, 2.0]))
+        self.problem = QuadraticProblem(np.diag([1.0, 2.0]))
         self.objective = quadratic_objective(self.problem)
 
     def test_zero_steps_returns_start(self, rng):
@@ -178,7 +178,7 @@ class TestGammaBound:
 
 class TestRun:
     def test_zero_iterations(self, rng):
-        objective = quadratic_objective(QuadraticProblem.from_matrix(np.eye(3)))
+        objective = quadratic_objective(QuadraticProblem(np.eye(3)))
         x0 = rng.standard_normal(3)
         trace = run(objective, MultistepConfig.bdf(1, 1.0), x0, 0)
         assert trace.ks == [0]
@@ -186,9 +186,9 @@ class TestRun:
 
     def test_exact_ppm_halves_error(self, rng):
         # mu = L = 1 so every eigendirection contracts by exactly 1/2
-        problem = QuadraticProblem.from_matrix(np.eye(4), rng.standard_normal(4))
+        problem = QuadraticProblem(np.eye(4), rng.standard_normal(4))
         objective = quadratic_objective(problem)
-        cfg = MultistepConfig(tau=1, xi=(1.0,), beta=1.0, inner_m=None)
+        cfg = MultistepConfig(xi=(1.0,), beta=1.0, inner_m=None)
         trace = run(objective, cfg, rng.standard_normal(4), 30)
         errs = np.array(trace.values("iterate_error"))
         ratios = errs[1:] / errs[:-1]
@@ -197,7 +197,7 @@ class TestRun:
     def test_bdf2_theorem_bound_on_trace(self):
         rng = seeded_rng(31)
         q = random_symmetric_with_spectrum(rng, [1.0, 1.7, 2.4, 3.0])
-        objective = quadratic_objective(QuadraticProblem.from_matrix(q))
+        objective = quadratic_objective(QuadraticProblem(q))
         eta = 5.0 / 3.0
         beta = 1.0  # >= (eta - 1) / mu = 2/3
         cfg = MultistepConfig.bdf(2, beta, inner_m=None, warmup="repeat")
@@ -209,9 +209,9 @@ class TestRun:
             assert errs[k] <= factor ** (k // 2) * base * (1 + 1e-9)
 
     def test_stop_on_objective_gap(self, rng):
-        problem = QuadraticProblem.from_matrix(np.eye(3))
+        problem = QuadraticProblem(np.eye(3))
         objective = quadratic_objective(problem)
-        cfg = MultistepConfig(tau=1, xi=(1.0,), beta=1.0, inner_m=None)
+        cfg = MultistepConfig(xi=(1.0,), beta=1.0, inner_m=None)
         # F* = 0, so the gap is the objective
         trace = run(
             objective,
@@ -223,16 +223,38 @@ class TestRun:
         assert trace.ks[-1] < 500
         assert trace.values("objective")[-1] <= 1e-10
 
+    def test_stop_is_checked_on_the_start(self):
+        # a start that already meets the stop rule takes no step
+        objective = quadratic_objective(QuadraticProblem(np.eye(3)))
+        cfg = MultistepConfig(xi=(1.0,), beta=1.0, inner_m=None)
+        seen = []
+
+        def stop(trace):
+            seen.append(trace.ks[-1])
+            return True
+
+        trace = run(objective, cfg, np.zeros(3), 500, stop=stop)
+        assert trace.ks == [0] and seen == [0]
+        assert trace.inner_steps == [0] and trace.values("objective") == [0.0]
+
     def test_divergence_carries_partial_trace(self, rng):
-        objective = quadratic_objective(QuadraticProblem.from_matrix(np.eye(2)))
-        cfg = MultistepConfig(tau=1, xi=(1.0,), beta=1.0, inner_m=3, inner_alpha=1e9)
+        objective = quadratic_objective(QuadraticProblem(np.eye(2)))
+        cfg = MultistepConfig(xi=(1.0,), beta=1.0, inner_m=3, inner_alpha=1e9)
         with pytest.raises(DivergenceError) as err:
             run(objective, cfg, rng.standard_normal(2) * 10, 50)
         assert err.value.trace is not None
         assert err.value.trace.diverged
 
+    def test_diverged_is_read_off_diverged_at(self):
+        trace = Trace(1)
+        assert not trace.diverged
+        trace.diverged_at = 3
+        assert trace.diverged
+        with pytest.raises(AttributeError):
+            trace.diverged = False
+
     def test_warmup_policies_agree_on_constant_start(self):
-        problem = QuadraticProblem.from_matrix(np.eye(3))
+        problem = QuadraticProblem(np.eye(3))
         objective = quadratic_objective(problem)
         x_star = np.zeros(3)
         for warmup in ("ramp", "repeat"):
@@ -243,7 +265,7 @@ class TestRun:
                 assert np.linalg.norm(it - x_star) <= 1e-12
 
     def test_record_count_is_iterations_plus_one(self, rng):
-        objective = quadratic_objective(QuadraticProblem.from_matrix(np.eye(2)))
+        objective = quadratic_objective(QuadraticProblem(np.eye(2)))
         trace = run(objective, MultistepConfig.bdf(2, 1.0), rng.standard_normal(2), 17)
         assert len(trace.ks) == 18
         assert len(trace.metrics["objective"]) == 18
@@ -262,10 +284,8 @@ class TestExactRateProperties:
                 [[mu, lmax], rng.uniform(mu, lmax, max(n - 2, 0))]
             )[:n]
             q = random_symmetric_with_spectrum(rng, eigs)
-            objective = quadratic_objective(QuadraticProblem.from_matrix(q))
-            cfg = MultistepConfig(
-                tau=2, xi=xi, beta=beta, inner_m=None, warmup="repeat"
-            )
+            objective = quadratic_objective(QuadraticProblem(q))
+            cfg = MultistepConfig(xi=xi, beta=beta, inner_m=None, warmup="repeat")
             trace = run(objective, cfg, rng.standard_normal(n), 20)
             errs = np.array(trace.values("iterate_error"))
             base = errs[:2].max()
@@ -283,11 +303,9 @@ class TestExactRateProperties:
                 mu = float(rng.uniform(0.5, 2.0))
                 eigs = np.sort(np.concatenate([[mu], rng.uniform(mu, mu + 3, n - 1)]))
                 q = random_symmetric_with_spectrum(rng, eigs)
-                objective = quadratic_objective(QuadraticProblem.from_matrix(q))
+                objective = quadratic_objective(QuadraticProblem(q))
                 beta = (eta - 1.0) / mu * float(rng.uniform(1.0, 2.0))
-                cfg = MultistepConfig(
-                    tau=tau, xi=xi, beta=beta, inner_m=None, warmup="repeat"
-                )
+                cfg = MultistepConfig(xi=xi, beta=beta, inner_m=None, warmup="repeat")
                 trace = run(objective, cfg, rng.standard_normal(n), 18)
                 errs = np.array(trace.values("iterate_error"))
                 base = errs[:tau].max()
@@ -300,13 +318,13 @@ class TestEpsilonStationarity:
     def test_zero_at_minimizer(self, rng):
         q = random_spd(rng, 4)
         c = rng.standard_normal(4)
-        problem = QuadraticProblem.from_matrix(q, c)
+        problem = QuadraticProblem(q, c)
         objective = quadratic_objective(problem)
         assert epsilon_stationarity(objective, objective.minimizer, 1.0) <= 1e-8
 
     def test_quadratic_identity(self, rng):
         q = random_spd(rng, 5)
-        objective = quadratic_objective(QuadraticProblem.from_matrix(q))
+        objective = quadratic_objective(QuadraticProblem(q))
         x = rng.standard_normal(5)
         beta = 0.8
         want = np.linalg.norm(np.linalg.solve(np.eye(5) + beta * q, q @ x))
@@ -316,7 +334,7 @@ class TestEpsilonStationarity:
 
     def test_scaling_linearity(self, rng):
         q = random_spd(rng, 4)
-        objective = quadratic_objective(QuadraticProblem.from_matrix(q))
+        objective = quadratic_objective(QuadraticProblem(q))
         x = rng.standard_normal(4)
         a = epsilon_stationarity(objective, x, 1.0)
         b = epsilon_stationarity(objective, 2 * x, 1.0)
@@ -324,7 +342,7 @@ class TestEpsilonStationarity:
 
     def test_high_budget_path_without_exact_prox(self, rng):
         q = random_spd(rng, 4)
-        problem = QuadraticProblem.from_matrix(q)
+        problem = QuadraticProblem(q)
         objective = quadratic_objective(problem)
         inexact = CompositeObjective(
             value=objective.value,
@@ -354,7 +372,7 @@ class TestDeltaConstant:
 
 class TestTheoremBounds:
     def test_single_step_reduction(self):
-        cfg = MultistepConfig(tau=1, xi=(1.0,), beta=2.0, inner_m=4)
+        cfg = MultistepConfig(xi=(1.0,), beta=2.0, inner_m=4)
         tb = theorem_bounds(cfg, mu=1.0, smoothness=3.0, gamma=0.0)
         assert tb.eta == 1.0
         assert tb.beta_min_strongly_convex == 0.0
@@ -427,7 +445,7 @@ class TestInexactRate:
         xi = tuple(bdf_coefficients(2)[0])
         eta = sum(abs(v) for v in xi)
         beta, mu, lmax = 4.0, 1.0, 2.0
-        cfg_probe = MultistepConfig(tau=2, xi=xi, beta=beta, inner_m=None)
+        cfg_probe = MultistepConfig(xi=xi, beta=beta, inner_m=None)
         gamma_max = theorem_bounds(cfg_probe, mu, lmax, 0.0).gamma_max
         m = 8
         gamma = gamma_bound(beta, lmax, m)
@@ -436,9 +454,8 @@ class TestInexactRate:
         for _ in range(20):
             eigs = np.sort(np.concatenate([[mu, lmax], rng.uniform(mu, lmax, 2)]))
             q = random_symmetric_with_spectrum(rng, eigs)
-            objective = quadratic_objective(QuadraticProblem.from_matrix(q))
+            objective = quadratic_objective(QuadraticProblem(q))
             cfg = MultistepConfig(
-                tau=2,
                 xi=xi,
                 beta=beta,
                 inner_m=m,
@@ -455,18 +472,32 @@ class TestInexactRate:
 class TestConfigValidation:
     def test_xi_must_sum_to_one(self):
         with pytest.raises(ValidationError):
-            MultistepConfig(tau=2, xi=(0.5, 0.6), beta=1.0)
+            MultistepConfig(xi=(0.5, 0.6), beta=1.0)
+
+    @pytest.mark.parametrize("tau", [0, 17])
+    def test_order_outside_1_to_16_is_rejected(self, tau):
+        with pytest.raises(ValidationError, match="weights"):
+            MultistepConfig(xi=(1.0 / max(tau, 1),) * tau, beta=1.0)
+
+    def test_tau_is_the_number_of_weights(self):
+        cfg = MultistepConfig(xi=(0.25,) * 4, beta=1.0)
+        assert cfg.tau == 4
+        with pytest.raises(AttributeError):
+            cfg.tau = 3
 
 
 def former_iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
     """The engine loop as it was before fixed points were reused: it calls
-    ``step`` on every outer step and records whatever ``step`` returned."""
+    ``step`` on every outer step and records whatever ``step`` returned.
+    ``stop`` is checked after every record, the start's included."""
     tau = len(xi)
     trace = Trace(tau, ks=[0], walltime_s=[0.0], state=x0)
     states = [x0] * tau if warmup == "repeat" else [x0]
     k = 0
     try:
         record(trace, 0, x0)
+        if stop is not None and stop(trace):
+            return trace
         for k in range(1, iterations + 1):
             weights, mixed_from = xi, states
             if len(states) < tau:
@@ -490,7 +521,6 @@ def former_iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
             if stop is not None and stop(trace):
                 break
     except DivergenceError as err:
-        trace.diverged = True
         trace.diverged_at = k
         err.trace = trace
         raise
@@ -629,7 +659,7 @@ class TestFixedPointMatchesFormerEngine:
             return lambda: experiments.run_l1(
                 problem, 0.01, (1, 2, 3), 1.0, 4, 2000, f_star=f_star
             ).traces
-        return lambda: experiments.run_lsp(problem, 5.0, (1, 2, 3), 1.0, 4, 2000).traces
+        return lambda: experiments.run_lsp(problem, 5.0, (1, 2, 3), 1.0, 4, 2000)
 
     @pytest.mark.parametrize(
         "kind, seed, fixed",

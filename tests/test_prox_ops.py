@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxflow.numerics import ValidationError, seeded_rng
+from proxflow.numerics import SymmetryError, ValidationError, seeded_rng, sym_eigen
 from proxflow.prox_ops import (
     QuadraticProblem,
     lsp_shrink,
@@ -231,34 +231,39 @@ class TestUncheckedShrinkage:
 
 class TestProxQuadratic:
     def test_zero_weight_is_identity(self, rng):
-        p = QuadraticProblem.from_matrix(random_spd(rng, 4))
+        p = QuadraticProblem(random_spd(rng, 4))
         x = rng.standard_normal(4)
         assert np.array_equal(prox_quadratic(p, x, 0.0), x)
 
     def test_identity_matrix_contraction(self):
-        p = QuadraticProblem.from_matrix(np.eye(2))
+        p = QuadraticProblem(np.eye(2))
         out = prox_quadratic(p, np.array([2.0, 4.0]), 1.0)
         assert np.allclose(out, [1.0, 2.0])
 
     def test_gradient_residual(self):
         rng = seeded_rng(55)
         q = random_spd(rng, 5)
-        p = QuadraticProblem.from_matrix(q, rng.standard_normal(5))
+        p = QuadraticProblem(q, rng.standard_normal(5))
         x = rng.standard_normal(5)
         beta = 0.7
         z = prox_quadratic(p, x, beta)
         resid = np.linalg.norm(p.grad(z) + (z - x) / beta)
         assert resid <= 1e-9 * (np.linalg.norm(x) + 1)
 
-    def test_mu_l_must_match_spectrum(self):
-        with pytest.raises(ValidationError):
-            QuadraticProblem(np.eye(2), np.zeros(2), 0.5, 1.0)
+    def test_mu_and_l_are_the_spectrum_extremes(self, rng):
+        q = random_spd(rng, 6)
+        w = sym_eigen(q)
+        p = QuadraticProblem(q)
+        assert (p.mu.hex(), p.lmax.hex()) == (float(w[0]).hex(), float(w[-1]).hex())
+        assert np.array_equal(p.c, np.zeros(6))
+        with pytest.raises(SymmetryError):
+            QuadraticProblem(q + np.triu(np.ones((6, 6)), 1))
 
 
 class TestProxOracles:
     def test_local_optimality_spot_check(self):
         rng = seeded_rng(3131)
-        q = QuadraticProblem.from_matrix(random_spd(rng, 6), rng.standard_normal(6))
+        q = QuadraticProblem(random_spd(rng, 6), rng.standard_normal(6))
         rng.standard_normal((6, 3))  # keeps the stream of the original draws
         cases = [
             (lambda x, b: prox_l1(x, 0.7 * b), lambda x: 0.7 * np.abs(x).sum()),

@@ -30,6 +30,11 @@ from proxflow.spectral import (
 from conftest import random_spd, random_symmetric_with_spectrum
 
 
+def radius(spec, mu, lmax):
+    """``spectrum_radius`` of one spec."""
+    return float(spectrum_radius([spec], mu, lmax)[0])
+
+
 def closed_form_tau1(lam, alpha, beta, m):
     a = 1.0 - alpha / beta - alpha * lam
     return abs(a**m + (1.0 - a**m) / (1.0 + beta * lam))
@@ -38,16 +43,16 @@ def closed_form_tau1(lam, alpha, beta, m):
 class TestScalarRadius:
     def test_frozen_iteration_limit(self):
         # alpha -> 0 freezes the iteration; the radius tends to 1
-        spec = CompanionSpec(1, (1.0,), alpha=1e-12, beta=1.0, m=4)
-        assert spectrum_radius(spec, 2.0, 2.0) == pytest.approx(1.0, abs=1e-9)
+        spec = CompanionSpec((1.0,), alpha=1e-12, beta=1.0, m=4)
+        assert radius(spec, 2.0, 2.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_boundary_value_exact(self):
-        spec = CompanionSpec(1, (1.0,), alpha=2.0 / 3.0, beta=1.0, m=4)
-        assert spectrum_radius(spec, 2.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+        spec = CompanionSpec((1.0,), alpha=2.0 / 3.0, beta=1.0, m=4)
+        assert radius(spec, 2.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_large_m_reaches_exact_prox_rate(self):
-        spec = CompanionSpec(1, (1.0,), alpha=0.4, beta=1.0, m=1000)
-        assert spectrum_radius(spec, 2.0, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
+        spec = CompanionSpec((1.0,), alpha=0.4, beta=1.0, m=1000)
+        assert radius(spec, 2.0, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_matches_closed_form_tau1(self):
         rng = seeded_rng(8)
@@ -56,36 +61,36 @@ class TestScalarRadius:
             beta = float(rng.uniform(0.2, 5.0))
             m = int(rng.integers(1, 12))
             lam = float(rng.uniform(0.0, 4.0))
-            spec = CompanionSpec(1, (1.0,), alpha=alpha, beta=beta, m=m)
-            assert spectrum_radius(spec, lam, lam) == pytest.approx(
+            spec = CompanionSpec((1.0,), alpha=alpha, beta=beta, m=m)
+            assert radius(spec, lam, lam) == pytest.approx(
                 closed_form_tau1(lam, alpha, beta, m), abs=1e-12
             )
 
     def test_rejects_negative_lambda(self):
-        spec = CompanionSpec(1, (1.0,), alpha=0.1, beta=1.0, m=1)
+        spec = CompanionSpec((1.0,), alpha=0.1, beta=1.0, m=1)
         with pytest.raises(ValidationError):
-            spectrum_radius(spec, -0.5, -0.5)
+            radius(spec, -0.5, -0.5)
 
 
 class TestSpectrumRadius:
     def test_known_interior_maximum(self):
-        spec = CompanionSpec(1, (1.0,), alpha=0.5, beta=1.0, m=4)
-        assert spectrum_radius(spec, 1.0, 2.0) == pytest.approx(0.5, abs=1e-12)
+        spec = CompanionSpec((1.0,), alpha=0.5, beta=1.0, m=4)
+        assert radius(spec, 1.0, 2.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_overflowing_rows_give_infinite_radius(self):
         # a^200 overflows on every row, which then holds NaN or inf; no
         # overflow or invalid-value warning escapes from building the rows
         xi = tuple(bdf_coefficients(3)[0])
-        spec = CompanionSpec(3, xi, alpha=90.0, beta=10.0, m=200)
+        spec = CompanionSpec(xi, alpha=90.0, beta=10.0, m=200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert spectrum_radius(spec, 1.0, 2.0) == np.inf
+            assert radius(spec, 1.0, 2.0) == np.inf
 
     def test_monotone_in_spectrum_enlargement(self):
         xi = tuple(bdf_coefficients(3)[0])
-        spec = CompanionSpec(3, xi, alpha=0.15, beta=1.0, m=4)
-        inner = spectrum_radius(spec, 1.0, 2.0)
-        outer = spectrum_radius(spec, 0.5, 3.0)
+        spec = CompanionSpec(xi, alpha=0.15, beta=1.0, m=4)
+        inner = radius(spec, 1.0, 2.0)
+        outer = radius(spec, 0.5, 3.0)
         assert outer >= inner - 1e-12
 
 
@@ -126,10 +131,10 @@ class TestCertifiedMaximum:
         mu = lmax if one_point else 1.0
         lams = _lambda_grid(mu, lmax)
         alphas = beta * np.array(steps)
-        spec = CompanionSpec(tau, xi, beta, beta, m)
+        spec = CompanionSpec(xi, beta, beta, m)
         want = every_row_maximum(alphas, lams, spec)
         assert _worst_radius(alphas[:, None], lams, spec).tobytes() == want.tobytes()
-        specs = [CompanionSpec(tau, xi, float(a), beta, m) for a in alphas]
+        specs = [CompanionSpec(xi, float(a), beta, m) for a in alphas]
         assert spectrum_radius(specs, mu, lmax).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -142,12 +147,12 @@ class TestCertifiedMaximum:
         # the reported alpha, where an inner row exceeds both endpoints by
         # only about 1e-12
         xi = tuple(bdf_coefficients(3)[0])
-        bound = max_stable_alpha(1.0, lmax, beta, m, 3, xi).alpha
+        bound = max_stable_alpha(1.0, lmax, beta, m, xi).alpha
         n = _ALPHA_GRID_POINTS
         lattice = np.linspace(bound / n, bound, n)[::_COARSE_STRIDE]
-        alphas = np.append(lattice, optimal_rate(1.0, lmax, beta, m, 3, xi).alpha)
+        alphas = np.append(lattice, optimal_rate(1.0, lmax, beta, m, xi).alpha)
         lams = _lambda_grid(1.0, lmax)
-        spec = CompanionSpec(3, xi, beta, beta, m)
+        spec = CompanionSpec(xi, beta, beta, m)
         want = every_row_maximum(alphas, lams, spec)
         radii = _kernels.max_root_modulus_batch(_coeff_rows(alphas[:, None], lams, spec))
         worst = radii.reshape(alphas.size, lams.size).argmax(axis=1)
@@ -156,10 +161,10 @@ class TestCertifiedMaximum:
         assert _worst_radius(alphas[:, None], lams, spec).tobytes() == want.tobytes()
 
 
-def every_row_stable_alpha(mu, lmax, beta, m, tau, xi, stable):
+def every_row_stable_alpha(mu, lmax, beta, m, xi, stable):
     """``max_stable_alpha``'s bisection as first written: every probe asks
     ``stable(alpha, lams, spec)`` of every lambda row, for all 60 steps."""
-    spec = CompanionSpec(tau, xi, beta, beta, m)
+    spec = CompanionSpec(xi, beta, beta, m)
     lams = _lambda_grid(mu, lmax)
     hi = probe = 10.0 * beta
     if stable(hi, lams, spec):
@@ -221,8 +226,8 @@ class TestStableAlphaShortcuts:
     def test_table_cells_equal_the_every_row_bisection(self, fresh_bounds):
         for tau, m, beta, lmax in TABLE_CELLS:
             xi = tuple(bdf_coefficients(tau)[0])
-            got = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
-            want = every_row_stable_alpha(1.0, lmax, beta, m, tau, xi, schur_cohn_stable)
+            got = max_stable_alpha(1.0, lmax, beta, m, xi)
+            want = every_row_stable_alpha(1.0, lmax, beta, m, xi, schur_cohn_stable)
             assert (got.alpha.hex(), got.stable, got.capped) == (
                 want.alpha.hex(), want.stable, want.capped
             )
@@ -240,32 +245,32 @@ class TestStableAlphaShortcuts:
     @settings(max_examples=40, deadline=None)
     def test_random_cells_equal_the_every_row_bisection(self, tau, m, beta, lmax):
         xi = tuple(bdf_coefficients(tau)[0])
-        got = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
-        want = every_row_stable_alpha(1.0, lmax, beta, m, tau, xi, schur_cohn_stable)
+        got = max_stable_alpha(1.0, lmax, beta, m, xi)
+        want = every_row_stable_alpha(1.0, lmax, beta, m, xi, schur_cohn_stable)
         assert (got.alpha.hex(), got.stable, got.capped) == (
             want.alpha.hex(), want.stable, want.capped
         )
 
     def test_a_repeated_call_makes_no_schur_call(self, fresh_bounds):
         xi = tuple(bdf_coefficients(3)[0])
-        first = max_stable_alpha(1.0, 10.0, 1.0, 4, 3, xi)
+        first = max_stable_alpha(1.0, 10.0, 1.0, 4, xi)
         assert fresh_bounds
         fresh_bounds.clear()
         # equal values of other types name the same cell
-        assert max_stable_alpha(1, 10, 1, 4, 3, list(xi)) is first
+        assert max_stable_alpha(1, 10, 1, 4, list(xi)) is first
         assert fresh_bounds == []
 
     def test_each_key_input_recomputes(self, fresh_bounds):
         bdf2, bdf3 = (tuple(bdf_coefficients(tau)[0]) for tau in (2, 3))
-        base = (1.0, 10.0, 1.0, 4, 3, bdf3)
+        base = (1.0, 10.0, 1.0, 4, bdf3)
         max_stable_alpha(*base)
         changed = [
-            (0.5, 10.0, 1.0, 4, 3, bdf3),
-            (1.0, 2.0, 1.0, 4, 3, bdf3),
-            (1.0, 10.0, 10.0, 4, 3, bdf3),
-            (1.0, 10.0, 1.0, 20, 3, bdf3),
-            (1.0, 10.0, 1.0, 4, 2, bdf2),
-            (1.0, 10.0, 1.0, 4, 3, (0.25, -1.0, 1.75)),
+            (0.5, 10.0, 1.0, 4, bdf3),
+            (1.0, 2.0, 1.0, 4, bdf3),
+            (1.0, 10.0, 10.0, 4, bdf3),
+            (1.0, 10.0, 1.0, 20, bdf3),
+            (1.0, 10.0, 1.0, 4, bdf2),
+            (1.0, 10.0, 1.0, 4, (0.25, -1.0, 1.75)),
         ]
         for args in changed:
             fresh_bounds.clear()
@@ -284,7 +289,7 @@ class TestStableAlphaShortcuts:
             return _coeff_rows(alpha, lams, spec)
 
         monkeypatch.setattr(spectral, "_coeff_rows", recording)
-        max_stable_alpha(1.0, 10.0, 1.0, 4, 3, tuple(bdf_coefficients(3)[0]))
+        max_stable_alpha(1.0, 10.0, 1.0, 4, tuple(bdf_coefficients(3)[0]))
         # the witness row comes from a slice of the grid, never from a numpy
         # scalar, whose ** can differ in the last bit from the array **
         assert set(grids) == {1}
@@ -297,24 +302,24 @@ class TestStableAlphaShortcuts:
 
 class TestMaxStableAlpha:
     def test_ppm_beta1(self):
-        got = max_stable_alpha(1.0, 2.0, 1.0, 4, 1, (1.0,))
+        got = max_stable_alpha(1.0, 2.0, 1.0, 4, (1.0,))
         assert got.stable
         assert got.alpha == pytest.approx(0.667, abs=0.005)
 
     def test_ppm_beta10(self):
-        got = max_stable_alpha(1.0, 2.0, 10.0, 4, 1, (1.0,))
+        got = max_stable_alpha(1.0, 2.0, 10.0, 4, (1.0,))
         assert got.alpha == pytest.approx(0.952, abs=0.005)
 
     def test_bdf3_row(self):
         xi = tuple(bdf_coefficients(3)[0])
-        got = max_stable_alpha(1.0, 10.0, 1.0, 4, 3, xi)
+        got = max_stable_alpha(1.0, 10.0, 1.0, 4, xi)
         assert got.alpha == pytest.approx(0.178, abs=0.02)
 
     def test_cap_is_flagged(self):
         # m = 1, tau = 1: the radius is max |1 - alpha lambda|, below 1 up to 2 / L
-        got = max_stable_alpha(1.0, 1.0, 0.01, 1, 1, (1.0,))
+        got = max_stable_alpha(1.0, 1.0, 0.01, 1, (1.0,))
         assert got == (10.0 * 0.01, True, True)
-        assert not max_stable_alpha(1.0, 2.0, 1.0, 4, 1, (1.0,)).capped
+        assert not max_stable_alpha(1.0, 2.0, 1.0, 4, (1.0,)).capped
 
     @given(
         tau=st.integers(1, 4),
@@ -327,9 +332,9 @@ class TestMaxStableAlpha:
         # the bisection and the optimal_rate lattice both assume the stable
         # alphas in (0, 10 beta] are exactly (0, alpha*]
         xi = tuple(bdf_coefficients(tau)[0])
-        got = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
+        got = max_stable_alpha(1.0, lmax, beta, m, xi)
         alphas = np.linspace(10.0 * beta / 64, 10.0 * beta, 64)
-        spec = CompanionSpec(tau, xi, beta, beta, m)
+        spec = CompanionSpec(xi, beta, beta, m)
         stable = _worst_radius(alphas[:, None], _lambda_grid(1.0, lmax), spec) < 1.0
         assert np.array_equal(stable, alphas <= got.alpha)
 
@@ -348,48 +353,48 @@ class TestMaxStableAlpha:
         # the predicates can disagree only within rounding of the boundary,
         # where the root-modulus radius itself can round to exactly 1
         xi = tuple(bdf_coefficients(tau)[0])
-        got = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
-        want = every_row_stable_alpha(1.0, lmax, beta, m, tau, xi, root_modulus_stable).alpha
+        got = max_stable_alpha(1.0, lmax, beta, m, xi)
+        want = every_row_stable_alpha(1.0, lmax, beta, m, xi, root_modulus_stable).alpha
         assert abs(got.alpha - want) <= 8 * np.spacing(want)
         if got.stable:
-            spec = CompanionSpec(tau, xi, got.alpha, beta, m)
-            assert spectrum_radius(spec, 1.0, lmax) <= 1.0 + 1e-12
+            spec = CompanionSpec(xi, got.alpha, beta, m)
+            assert radius(spec, 1.0, lmax) <= 1.0 + 1e-12
 
     def test_boundary_is_sharp(self):
-        got = max_stable_alpha(1.0, 2.0, 1.0, 4, 1, (1.0,))
-        spec = CompanionSpec(1, (1.0,), alpha=got.alpha, beta=1.0, m=4)
-        assert spectrum_radius(spec, 1.0, 2.0) < 1.0
-        just_above = CompanionSpec(1, (1.0,), alpha=got.alpha * 1.001, beta=1.0, m=4)
-        assert spectrum_radius(just_above, 1.0, 2.0) >= 1.0
+        got = max_stable_alpha(1.0, 2.0, 1.0, 4, (1.0,))
+        spec = CompanionSpec((1.0,), alpha=got.alpha, beta=1.0, m=4)
+        assert radius(spec, 1.0, 2.0) < 1.0
+        just_above = CompanionSpec((1.0,), alpha=got.alpha * 1.001, beta=1.0, m=4)
+        assert radius(just_above, 1.0, 2.0) >= 1.0
 
 
 class TestOptimalRate:
     def test_ppm_m4_beta1(self):
-        got = optimal_rate(1.0, 2.0, 1.0, 4, 1, (1.0,))
+        got = optimal_rate(1.0, 2.0, 1.0, 4, (1.0,))
         assert got.rho == pytest.approx(0.500, abs=0.005)
 
     def test_ppm_m4_beta10(self):
-        got = optimal_rate(1.0, 2.0, 10.0, 4, 1, (1.0,))
+        got = optimal_rate(1.0, 2.0, 10.0, 4, (1.0,))
         assert got.rho == pytest.approx(0.0935, abs=0.005)
 
     def test_bdf3_row_with_oracle_escape(self):
         xi = tuple(bdf_coefficients(3)[0])
-        got = optimal_rate(1.0, 2.0, 10.0, 4, 3, xi)
+        got = optimal_rate(1.0, 2.0, 10.0, 4, xi)
         if abs(got.rho - 0.197) > 0.02:
             # reference mismatch: prove the computed radius matches the
             # actual iteration via the companion simulation oracle
             rng = seeded_rng(1)
             q = random_symmetric_with_spectrum(rng, [1.0, 1.4, 2.0])
-            spec = CompanionSpec(3, xi, alpha=0.9 * got.alpha, beta=10.0, m=4)
+            spec = CompanionSpec(xi, alpha=0.9 * got.alpha, beta=10.0, m=4)
             check = simulate_companion_check(spec, q, rng.standard_normal(3), 50)
             assert check.discrepancy <= 1e-9 * max(1.0, check.max_norm)
 
     def test_optimum_beats_neighbors(self):
         xi = tuple(bdf_coefficients(2)[0])
-        got = optimal_rate(1.0, 2.0, 1.0, 4, 2, xi)
+        got = optimal_rate(1.0, 2.0, 1.0, 4, xi)
         for factor in (0.9, 1.1):
-            spec = CompanionSpec(2, xi, alpha=got.alpha * factor, beta=1.0, m=4)
-            other = spectrum_radius(spec, 1.0, 2.0)
+            spec = CompanionSpec(xi, alpha=got.alpha * factor, beta=1.0, m=4)
+            other = radius(spec, 1.0, 2.0)
             assert got.rho <= other + 1e-9
 
 
@@ -409,9 +414,9 @@ class TestAlphaLattice:
     def test_scan_picks_the_dense_argmin(self, tau, m, beta, lmax):
         # tau <= 2 radii are closed-form, so a value does not depend on its batch
         xi = tuple(bdf_coefficients(tau)[0])
-        bound = max_stable_alpha(1.0, lmax, beta, m, tau, xi)
+        bound = max_stable_alpha(1.0, lmax, beta, m, xi)
         assume(bound.stable)
-        spec = CompanionSpec(tau, xi, bound.alpha, beta, m)
+        spec = CompanionSpec(xi, bound.alpha, beta, m)
         lams = _lambda_grid(1.0, lmax)
         n = _ALPHA_GRID_POINTS
         alphas = np.linspace(bound.alpha / n, bound.alpha, n)
@@ -431,32 +436,32 @@ class TestAlphaLattice:
         # PPM m = 20, L = 2: the radius is flat to the last bit over a range
         # of alpha, and the first lattice point with the least rounding
         # noise is the reported alpha
-        got = optimal_rate(1.0, 2.0, beta, 20, 1, (1.0,))
+        got = optimal_rate(1.0, 2.0, beta, 20, (1.0,))
         assert got == (rho, alpha)
 
 
 class TestBetaScan:
     def test_grid_point_matches_direct_evaluation(self):
         betas = [0.5, 1.0, 2.0]
-        rows = beta_scan(1.0, 2.0, [4], 1.0, [1, 2, 3, 4], betas)
+        rows = [r for tau in (1, 2, 3, 4) for r in beta_scan(1.0, 2.0, 4, 1.0, tau, betas)]
         for row in rows:
             xi = tuple(bdf_coefficients(row["tau"])[0])
-            spec = CompanionSpec(row["tau"], xi, row["alpha"], row["beta"], row["m"])
-            assert row["radius"] == spectrum_radius(spec, 1.0, 2.0)
+            spec = CompanionSpec(xi, row["alpha"], row["beta"], row["m"])
+            assert row["radius"] == radius(spec, 1.0, 2.0)
 
     def test_large_beta_with_large_m_tends_to_zero(self):
         # spectrum kept inside the alpha = 1 stability region so the
         # curve can reach its exact-prox limit 1/(1 + beta mu)
-        rows = beta_scan(0.5, 0.9, [200], 1.0, [1], [200.0])
+        rows = beta_scan(0.5, 0.9, 200, 1.0, 1, [200.0])
         assert rows[0]["radius"] == pytest.approx(1.0 / 101.0, abs=5e-3)
 
     def test_unstable_small_beta_flagged(self):
-        rows = beta_scan(1.0, 10.0, [4], 1.0, [3], [0.05])
+        rows = beta_scan(1.0, 10.0, 4, 1.0, 3, [0.05])
         assert not rows[0]["stable"]
 
     def test_huge_coefficients_are_not_flagged_stable(self):
         # a^m is about 1e60 at beta = 0.001 and m = 20
-        rows = beta_scan(1.0, 2.0, [20], 1.0, [3, 4], [0.001])
+        rows = [r for tau in (3, 4) for r in beta_scan(1.0, 2.0, 20, 1.0, tau, [0.001])]
         assert [r["stable"] for r in rows] == [0, 0]
         assert min(r["radius"] for r in rows) > 1e59
 
@@ -473,17 +478,17 @@ class TestBetaScan:
             return kernel(coeffs, backend)
 
         monkeypatch.setattr(_kernels, "max_root_modulus_batch", recording)
-        rows = beta_scan(1.0, 10.0, [4], 1.0, [3], betas)
+        rows = beta_scan(1.0, 10.0, 4, 1.0, 3, betas)
         assert len(calls) == 2
         assert calls[0] == 2 * betas.size
         assert 0 < calls[1] < (lams.size - 2) * betas.size
         xi = tuple(bdf_coefficients(3)[0])
-        every_row = np.concatenate([_coeff_rows(1.0, lams, CompanionSpec(3, xi, 1.0, b, 4)) for b in betas])
+        every_row = np.concatenate([_coeff_rows(1.0, lams, CompanionSpec(xi, 1.0, b, 4)) for b in betas])
         want = kernel(every_row).reshape(betas.size, lams.size).max(axis=1)
         assert [r["radius"] for r in rows] == want.tolist()
 
     def test_csv_roundtrip(self, tmp_path):
-        rows = beta_scan(1.0, 2.0, [4], 1.0, [1, 2, 3], [0.5, 5.0])
+        rows = [r for tau in (1, 2, 3) for r in beta_scan(1.0, 2.0, 4, 1.0, tau, [0.5, 5.0])]
         path = tmp_path / "scan.csv"
         emit_table(rows, path)
         lines = path.read_text().splitlines()
@@ -503,17 +508,17 @@ class TestCompanionConsistency:
                 n = int(rng.integers(2, 10))
                 q = random_spd(rng, n)
                 spec = CompanionSpec(
-                    tau, xi, float(rng.uniform(0.02, 0.4)), 1.0, int(rng.integers(1, 8))
+                    xi, float(rng.uniform(0.02, 0.4)), 1.0, int(rng.integers(1, 8))
                 )
                 eigs = np.linalg.eigvalsh(q)
-                poly_route = max(spectrum_radius(spec, float(lam), float(lam)) for lam in eigs)
+                poly_route = max(radius(spec, float(lam), float(lam)) for lam in eigs)
                 m_mat = companion_matrix(spec, q)
                 matrix_route = float(np.abs(np.linalg.eigvals(m_mat)).max())
                 assert poly_route == pytest.approx(matrix_route, abs=1e-8)
 
     def test_simulation_trivial_single_map(self, rng):
         q = random_spd(rng, 3)
-        spec = CompanionSpec(1, (1.0,), 0.2, 1.0, 1)
+        spec = CompanionSpec((1.0,), 0.2, 1.0, 1)
         check = simulate_companion_check(spec, q, rng.standard_normal(3), 30)
         assert check.discrepancy <= 1e-12
 
@@ -522,7 +527,7 @@ class TestCompanionConsistency:
         for tau, m in ((2, 4), (3, 10)):
             xi = tuple(bdf_coefficients(tau)[0])
             q = random_spd(rng, 6)
-            spec = CompanionSpec(tau, xi, 0.25, 1.0, m)
+            spec = CompanionSpec(xi, 0.25, 1.0, m)
             steps = 50 if tau == 2 else 100
             check = simulate_companion_check(spec, q, rng.standard_normal(6), steps)
             assert check.discrepancy <= 1e-9 * max(1.0, check.max_norm)
@@ -532,10 +537,10 @@ class TestEmpiricalDecay:
     def test_simulated_rate_matches_radius(self):
         rng = seeded_rng(29)
         xi = tuple(bdf_coefficients(2)[0])
-        spec = CompanionSpec(2, xi, alpha=0.3, beta=1.0, m=4)
+        spec = CompanionSpec(xi, alpha=0.3, beta=1.0, m=4)
         eigs = [1.0, 1.3, 1.7, 2.0]
         q = random_symmetric_with_spectrum(rng, eigs)
-        rho = max(spectrum_radius(spec, lam, lam) for lam in eigs)
+        rho = max(radius(spec, lam, lam) for lam in eigs)
         m_mat = companion_matrix(spec, q)
         z = np.tile(rng.standard_normal(4), 2)
         errs = []
