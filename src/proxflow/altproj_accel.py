@@ -174,6 +174,8 @@ def verify_rate(pair, xi, iterations):
     """
     from .experiments import altproj_trace
 
+    if iterations < 1:
+        raise ValidationError(f"iterations must be >= 1 to fit a rate, got {iterations}")
     trace = altproj_trace(pair, tuple(xi), iterations)
     resid = np.asarray(trace.values("residual"))
     ks = np.arange(resid.size)

@@ -68,7 +68,6 @@ from .numerics import TOL, seeded_rng
 from .spectral import (
     CompanionSpec,
     beta_scan,
-    max_stable_alpha,
     optimal_rate,
     simulate_companion_check,
 )
@@ -121,11 +120,11 @@ def _method_xi(method):
     return tuple(bdf_coefficients(METHOD_TAU[method])[0])
 
 
-def _oracle_check(method, beta, m, alpha, mu, lmax):
+def _oracle_check(method, beta, m, alpha, lmax):
     """Companion-simulation oracle for an out-of-tolerance table row."""
     rng = seeded_rng(ORACLE_SEED)
     n = 6
-    eigs = np.concatenate(([mu, lmax], rng.uniform(mu, lmax, n - 2)))
+    eigs = np.concatenate(([1.0, lmax], rng.uniform(1.0, lmax, n - 2)))
     basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
     q = basis @ np.diag(eigs) @ basis.T
     q = 0.5 * (q + q.T)
@@ -136,84 +135,36 @@ def _oracle_check(method, beta, m, alpha, mu, lmax):
     return check.discrepancy / max(1.0, check.max_norm)
 
 
-def _stable_alpha(method, m, beta, lmax):
-    bound = max_stable_alpha(1.0, lmax, beta, m, _method_xi(method))
-    return {"computed_alpha": bound.alpha}
-
-
-def _optimal_rate(method, m, beta, lmax):
-    best = optimal_rate(1.0, lmax, beta, m, _method_xi(method))
-    return {"computed_rho": best.rho, "computed_alpha": best.alpha}
-
-
-class TableSpec(NamedTuple):
-    """How one stability table is computed and laid out.
-
-    ``reference`` maps a key, which ``cell`` turns into (method, m,
-    beta), to {L: reference value}; ``solve(method, m, beta, L)``
-    returns the computed columns, of which ``computed_<checked>`` is
-    compared with the reference value; ``tight(method, m, beta, L)``
-    picks the cells held to ``PPM_TOLERANCE`` with no oracle escape
-    (every other cell gets ``BDF_TOLERANCE`` and the
-    companion-simulation oracle, since the multistep reference values
-    carry a known scaling ambiguity).
-    """
-
-    reference: dict
-    cell: Callable
-    solve: Callable
-    checked: str
-    tight: Callable
-    columns: tuple
-
-
 _VERDICT = ("abs_diff", "tolerance", "within_tolerance", "oracle_discrepancy", "row_pass")
 
-TABLES = {
-    "table2": TableSpec(
-        reference=TABLE2_REFERENCE,
-        cell=lambda method, beta: (method, 4, beta),
-        solve=_stable_alpha,
-        checked="alpha",
-        tight=lambda method, m, beta, lmax: method == "ppm",
-        columns=(
-            "method", "beta", "L", "mu", "m", "computed_alpha", "reference_alpha", *_VERDICT,
-        ),
+# The CSV columns of each table, in the order they are written.
+COLUMNS = {
+    "table2": (
+        "method", "beta", "L", "mu", "m", "computed_alpha", "reference_alpha", *_VERDICT,
     ),
-    "table3": TableSpec(
-        reference=TABLE3_REFERENCE,
-        cell=lambda method, m, beta: (method, m, beta),
-        solve=_optimal_rate,
-        checked="rho",
-        tight=lambda *cell: cell in TABLE3_TIGHT_CELLS,
-        columns=(
-            "method", "m", "beta", "L", "mu", "computed_rho", "computed_alpha", "reference_rho",
-            *_VERDICT,
-        ),
+    "table3": (
+        "method", "m", "beta", "L", "mu", "computed_rho", "computed_alpha", "reference_rho",
+        *_VERDICT,
     ),
 }
 
 
-def _table_cells(spec, only):
-    return [
-        (spec, *spec.cell(*key), lmax, ref)
-        for key, per_l in spec.reference.items()
-        if not only or key[0] == only
-        for lmax, ref in per_l.items()
-    ]
+def _table_row(name, cell, checked, computed, ref, tight):
+    """One row of table ``name``: the computed columns and their verdict.
 
-
-def _table_row(cell):
-    """One table row: the computed columns and their verdict."""
-    spec, method, m, beta, lmax, ref = cell
-    computed = spec.solve(method, m, beta, lmax)
-    tight = spec.tight(method, m, beta, lmax)
+    ``computed["computed_<checked>"]`` is compared with ``ref``. A
+    ``tight`` row is held to ``PPM_TOLERANCE`` with no oracle escape;
+    every other row gets ``BDF_TOLERANCE`` and the companion-simulation
+    oracle, since the multistep reference values carry a known scaling
+    ambiguity.
+    """
+    method, m, beta, lmax = cell
     tol = PPM_TOLERANCE if tight else BDF_TOLERANCE
-    diff = abs(computed["computed_" + spec.checked] - ref)
+    diff = abs(computed["computed_" + checked] - ref)
     within = diff <= tol
     oracle, passed = "", within
     if not within and not tight:
-        oracle = _oracle_check(method, beta, m, computed["computed_alpha"], 1.0, lmax)
+        oracle = _oracle_check(method, beta, m, computed["computed_alpha"], lmax)
         passed = oracle <= TOL.companion_discrepancy
     row = {
         "method": method,
@@ -222,14 +173,36 @@ def _table_row(cell):
         "L": lmax,
         "mu": 1.0,
         **computed,
-        "reference_" + spec.checked: ref,
+        "reference_" + checked: ref,
         "abs_diff": diff,
         "tolerance": tol,
         "within_tolerance": int(within),
         "oracle_discrepancy": oracle,
         "row_pass": int(passed),
     }
-    return {key: row[key] for key in spec.columns}
+    return {key: row[key] for key in COLUMNS[name]}
+
+
+def _cell_rows(cell):
+    """The rows of one table-3 cell (method, m, beta, L), by table.
+
+    An m = 4 cell also gives its table-2 row: the max stable alpha of
+    table 2 is the alpha* that bounds the cell's optimal-rate search.
+    """
+    method, m, beta, lmax = cell
+    best = optimal_rate(1.0, lmax, beta, m, _method_xi(method))
+    rows = {
+        "table3": _table_row(
+            "table3", cell, "rho", {"computed_rho": best.rho, "computed_alpha": best.alpha},
+            TABLE3_REFERENCE[method, m, beta][lmax], cell in TABLE3_TIGHT_CELLS,
+        )
+    }
+    if m == 4:
+        rows["table2"] = _table_row(
+            "table2", cell, "alpha", {"computed_alpha": best.alpha_max},
+            TABLE2_REFERENCE[method, beta][lmax], method == "ppm",
+        )
+    return rows
 
 
 # Set in each worker of a _parallel pool by its initializer. The workers
@@ -278,10 +251,16 @@ def _parallel(fn, items, jobs):
 
 def cmd_tables(args):
     out = Path(args.out)
-    cells = {name: _table_cells(spec, args.only) for name, spec in TABLES.items()}
-    rows, workers = _parallel(_table_row, [c for cs in cells.values() for c in cs], args.jobs)
-    done = iter(rows)
-    tables = {name: [next(done) for _ in cs] for name, cs in cells.items()}
+    # table 3's cells in its row order; their m = 4 cells are table 2's,
+    # in table 2's row order
+    cells = [
+        (method, m, beta, lmax)
+        for (method, m, beta), per_l in TABLE3_REFERENCE.items()
+        if not args.only or method == args.only
+        for lmax in per_l
+    ]
+    results, workers = _parallel(_cell_rows, cells, args.jobs)
+    tables = {name: [rows[name] for rows in results if name in rows] for name in COLUMNS}
     out.mkdir(parents=True, exist_ok=True)
     counts, summary = {"workers": workers}, []
     for name, rows in tables.items():

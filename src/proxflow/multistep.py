@@ -270,8 +270,11 @@ def iterate(step, x0, xi, iterations, record, warmup="ramp", stop=None):
     stepped onto that state, every later step would return it again, so
     it is accepted without calling ``mix``, ``step`` or the divergence
     check; ``trace.fixed_at`` records the first such step. ``record`` and
-    ``stop`` still run on every step.
+    ``stop`` still run on every step. A negative ``iterations`` raises
+    ``ValidationError``.
     """
+    if iterations < 0:
+        raise ValidationError(f"iterations must be >= 0, got {iterations}")
     tau = len(xi)
     trace = Trace(tau, ks=[0], walltime_s=[0.0], state=x0)
     states = [x0] * tau if warmup == "repeat" else [x0]
@@ -347,8 +350,6 @@ def run(objective, cfg, x0, iterations, stat_every=0, stop=None):
     Divergence (non-finite iterate or norm above ``TOL.divergence_norm``)
     raises DivergenceError carrying the partial trace.
     """
-    if iterations < 0:
-        raise ValidationError(f"iterations must be >= 0, got {iterations}")
     if cfg.inner_m is None and objective.exact_prox is None:
         raise ValidationError("inner_m=None requires an exact prox oracle")
 

@@ -181,12 +181,6 @@ class StableAlpha(NamedTuple):
     capped: bool = False
 
 
-# max_stable_alpha's results by its inputs: the tables ask for each m = 4
-# bound twice, once per table. Only validated inputs are stored, so no NaN,
-# which never equals itself, becomes a key.
-_STABLE_ALPHAS = {}
-
-
 def max_stable_alpha(mu, lmax, beta, m, xi):
     """Largest inner step alpha keeping the worst-case radius below 1.
 
@@ -195,24 +189,12 @@ def max_stable_alpha(mu, lmax, beta, m, xi):
     ``capped=True`` when the radius is below 1 there, so no bound was
     found inside the search interval. Each probe asks whether every root
     lies inside the unit circle with the Schur–Cohn test, which finds no
-    root. Results are kept per input, so a repeated call computes
-    nothing. Raises ``ValidationError`` for a non-finite or out-of-range
-    input.
-    """
-    key = (float(mu), float(lmax), float(beta), m, tuple(float(v) for v in xi))
-    if key not in _STABLE_ALPHAS:
-        _STABLE_ALPHAS[key] = _bisect_stable_alpha(mu, lmax, beta, m, xi)
-    return _STABLE_ALPHAS[key]
-
-
-def _bisect_stable_alpha(mu, lmax, beta, m, xi):
-    """The bisection of ``max_stable_alpha``, without its memo.
-
-    A probe first tests the one lambda row on which the last unstable
-    probe failed (at first L), and builds and tests every row only when
-    that row passes, so most unstable probes cost one row. The bisection
-    ends once the midpoint is ``lo`` or ``hi``: from then on every probe
-    would repeat a known answer.
+    root. A probe first tests the one lambda row on which the last
+    unstable probe failed (at first L), and builds and tests every row
+    only when that row passes, so most unstable probes cost one row. The
+    bisection ends once the midpoint is ``lo`` or ``hi``: from then on
+    every probe would repeat a known answer. Raises ``ValidationError``
+    for a non-finite or out-of-range input.
     """
     spec = CompanionSpec(xi, beta, beta, m)  # alpha placeholder
     lams = _lambda_grid(mu, lmax)
@@ -258,6 +240,7 @@ def _bisect_stable_alpha(mu, lmax, beta, m, xi):
 class OptimalRate(NamedTuple):
     rho: float
     alpha: float
+    alpha_max: float
 
 
 def _lattice_argmin(alphas, lams, spec):
@@ -289,7 +272,8 @@ def _lattice_argmin(alphas, lams, spec):
 
 
 def optimal_rate(mu, lmax, beta, m, xi):
-    """Smallest worst-case radius over alpha, and the minimizing alpha.
+    """Smallest worst-case radius over alpha, the minimizing alpha, and
+    the max stable alpha that bounds the search.
 
     The basin is located on the 2048-point lattice
     ``linspace(alpha*/2048, alpha*, 2048)`` over (0, alpha*], alpha* the
@@ -334,7 +318,7 @@ def optimal_rate(mu, lmax, beta, m, xi):
     refined_rho = min(fc, fd)
     if refined_rho < best_rho:
         best_alpha, best_rho = float(refined_alpha), float(refined_rho)
-    return OptimalRate(best_rho, best_alpha)
+    return OptimalRate(best_rho, best_alpha, bound.alpha)
 
 
 def beta_scan(mu, lmax, m, alpha, tau, betas):

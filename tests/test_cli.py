@@ -61,6 +61,27 @@ class TestTables:
                     if key in want:
                         assert float(row[key]) == pytest.approx(float(want[key]), abs=1e-9)
 
+    @pytest.mark.parametrize("only, cells", [(None, 24), ("ppm", 8)], ids=["all", "ppm"])
+    def test_each_bound_is_computed_once(self, tmp_path, monkeypatch, only, cells):
+        # table 2 is read off table 3's m = 4 cells, so each table-3 cell
+        # asks for its bound once and no cell is computed twice
+        from proxflow import spectral
+
+        calls = []
+        bound = spectral.max_stable_alpha
+
+        def counting(*args):
+            calls.append(args)
+            return bound(*args)
+
+        # every module that binds the function counts, as in perfbench's tracer
+        for name, module in list(sys.modules.items()):
+            if name.startswith("proxflow") and vars(module).get("max_stable_alpha") is bound:
+                monkeypatch.setattr(module, "max_stable_alpha", counting)
+        argv = ["tables", "--jobs", "1", "--out", str(tmp_path / "t")]
+        assert main(argv + (["--only", only] if only else [])) == 0
+        assert len(calls) == cells
+
     def test_tolerance_failure_exits_4_with_outputs(self, tmp_path, monkeypatch):
         import proxflow.cli as cli
 
@@ -94,6 +115,24 @@ class TestRun:
     def test_explicit_zero_dimension_is_rejected(self, tmp_path):
         # an explicit 0 reaches the generator instead of the default 50
         assert main(["run", "l1", "--p", "0", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "l1", "--iters", "-2", "--p", "10", "--q", "20"], ">= 0, got -2"),
+            (["run", "altproj", "--iters", "-2", "--n", "16", "--d", "4"], ">= 0, got -2"),
+            (["run", "matfac", "--iters", "-2", "--n", "20"], ">= 0, got -2"),
+            (["accel", "--iters", "0"], ">= 1 to fit a rate, got 0"),
+        ],
+        ids=["l1", "altproj", "matfac", "accel"],
+    )
+    def test_bad_iteration_count_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "o"
+        assert main([*argv, "--jobs", "1", "--out", str(out)]) == 2
+        assert f"iterations must be {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_tau_list_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -205,10 +205,8 @@ TABLE_CELLS = [
 
 
 @pytest.fixture
-def fresh_bounds(monkeypatch):
-    """An empty ``max_stable_alpha`` memo, and a log of the row count of
-    every ``schur_stable_batch`` call."""
-    monkeypatch.setattr(spectral, "_STABLE_ALPHAS", {})
+def schur_rows(monkeypatch):
+    """A log of the row count of every ``schur_stable_batch`` call."""
     sizes = []
     schur = _kernels.schur_stable_batch
 
@@ -221,9 +219,9 @@ def fresh_bounds(monkeypatch):
 
 
 class TestStableAlphaShortcuts:
-    """The memo, the witness row and the one-ulp stop keep every bit."""
+    """The witness row and the one-ulp stop keep every bit."""
 
-    def test_table_cells_equal_the_every_row_bisection(self, fresh_bounds):
+    def test_table_cells_equal_the_every_row_bisection(self):
         for tau, m, beta, lmax in TABLE_CELLS:
             xi = tuple(bdf_coefficients(tau)[0])
             got = max_stable_alpha(1.0, lmax, beta, m, xi)
@@ -251,19 +249,9 @@ class TestStableAlphaShortcuts:
             want.alpha.hex(), want.stable, want.capped
         )
 
-    def test_a_repeated_call_makes_no_schur_call(self, fresh_bounds):
-        xi = tuple(bdf_coefficients(3)[0])
-        first = max_stable_alpha(1.0, 10.0, 1.0, 4, xi)
-        assert fresh_bounds
-        fresh_bounds.clear()
-        # equal values of other types name the same cell
-        assert max_stable_alpha(1, 10, 1, 4, list(xi)) is first
-        assert fresh_bounds == []
-
-    def test_each_key_input_recomputes(self, fresh_bounds):
+    def test_neighbour_cells_equal_the_every_row_bisection(self):
+        # the bdf3, m = 4, beta = 1, L = 10 cell with one input changed
         bdf2, bdf3 = (tuple(bdf_coefficients(tau)[0]) for tau in (2, 3))
-        base = (1.0, 10.0, 1.0, 4, bdf3)
-        max_stable_alpha(*base)
         changed = [
             (0.5, 10.0, 1.0, 4, bdf3),
             (1.0, 2.0, 1.0, 4, bdf3),
@@ -273,12 +261,9 @@ class TestStableAlphaShortcuts:
             (1.0, 10.0, 1.0, 4, (0.25, -1.0, 1.75)),
         ]
         for args in changed:
-            fresh_bounds.clear()
-            got = max_stable_alpha(*args)
-            assert fresh_bounds
-            assert got == every_row_stable_alpha(*args, schur_cohn_stable)
+            assert max_stable_alpha(*args) == every_row_stable_alpha(*args, schur_cohn_stable)
 
-    def test_a_failing_probe_mostly_tests_one_row(self, fresh_bounds, monkeypatch):
+    def test_a_failing_probe_mostly_tests_one_row(self, schur_rows, monkeypatch):
         # every probe first tests the witness row, and the full 514 rows
         # only when it passes: the bdf3, m = 4, beta = 1, L = 10 cell takes
         # 65 probes, 29 of them full, about 0.45 of 514 rows per probe
@@ -294,10 +279,10 @@ class TestStableAlphaShortcuts:
         # scalar, whose ** can differ in the last bit from the array **
         assert set(grids) == {1}
         lams = _lambda_grid(1.0, 10.0).size
-        assert set(fresh_bounds) == {1, lams}
-        probes = fresh_bounds.count(1)
-        assert fresh_bounds.count(lams) < probes / 2
-        assert sum(fresh_bounds) < lams * probes / 2
+        assert set(schur_rows) == {1, lams}
+        probes = schur_rows.count(1)
+        assert schur_rows.count(lams) < probes / 2
+        assert sum(schur_rows) < lams * probes / 2
 
 
 class TestMaxStableAlpha:
@@ -372,6 +357,8 @@ class TestOptimalRate:
     def test_ppm_m4_beta1(self):
         got = optimal_rate(1.0, 2.0, 1.0, 4, (1.0,))
         assert got.rho == pytest.approx(0.500, abs=0.005)
+        # the search's bound is the table-2 value of the cell
+        assert got.alpha_max == max_stable_alpha(1.0, 2.0, 1.0, 4, (1.0,)).alpha
 
     def test_ppm_m4_beta10(self):
         got = optimal_rate(1.0, 2.0, 10.0, 4, (1.0,))
@@ -437,7 +424,7 @@ class TestAlphaLattice:
         # of alpha, and the first lattice point with the least rounding
         # noise is the reported alpha
         got = optimal_rate(1.0, 2.0, beta, 20, (1.0,))
-        assert got == (rho, alpha)
+        assert (got.rho, got.alpha) == (rho, alpha)
 
 
 class TestBetaScan:
