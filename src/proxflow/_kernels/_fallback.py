@@ -5,12 +5,13 @@ A batch is a (N, d) float array whose rows hold [q_0, ..., q_{d-1}].
 
 Degrees 1 and 2 have closed forms. From degree 3 on, every row runs the
 Durand–Kerner iteration (Kerner, 1966) of ``_native.c``'s
-``row_radius``, vectorized over rows: real arithmetic in the C code's
-operation order, roots updated one after another (Gauss–Seidel), and a
-stop per row. The start values come from libm's cos and sin, and every
-later operation is an IEEE basic operation, so a row's radius has the
-bits of the compiled kernel and depends neither on the other rows of its
-batch nor on numpy's SIMD dispatch for the CPU.
+``row_radius``, vectorized over chunks of rows: real arithmetic in the C
+code's operation order, roots updated one after another (Gauss–Seidel),
+and a stop per row, after which the row leaves its chunk. The start
+values come from libm's cos and sin, and every later operation is an
+IEEE basic operation, so a row's radius has the bits of the compiled
+kernel and depends neither on the other rows of its batch nor on numpy's
+SIMD dispatch for the CPU.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 MAX_DEGREE = 16  # the native kernel compiles in the same limit
 _MAX_ITER = 120
 _TOL = 1e-13
-_CHUNK = 4096  # rows iterated at once; finished rows make room for new ones
+_CHUNK = 4096  # rows iterated at once; a chunk ends when its last row stops
 
 
 def _quadratic_max_modulus(q0, q1):
@@ -47,47 +48,6 @@ def _start_directions(d):
         np.array([math.cos(a) for a in angles])[:, None],
         np.array([math.sin(a) for a in angles])[:, None],
     )
-
-
-class _Batch:
-    """Rows in flight: coefficients, roots and stop sweeps, root-major.
-
-    ``q``, ``zr`` and ``zi`` have shape (d, m), so that ``zr[j]`` holds
-    root j of every row in flight; ``rows`` holds their indices in the
-    caller's batch, and ``last`` the sweep after which each row stops at
-    the latest.
-    """
-
-    def __init__(self, coeffs, rows, cos0, sin0, sweep):
-        self.rows = rows
-        self.q = coeffs[rows].T.copy()
-        r0 = 1.0 + np.abs(self.q).max(axis=0)
-        self.zr = r0 * cos0
-        self.zi = r0 * sin0
-        self.last = np.full(rows.size, sweep + _MAX_ITER)
-        self._scratch = None
-
-    def replace(self, slots, fresh):
-        self.rows[slots] = fresh.rows
-        self.last[slots] = fresh.last
-        self.q[:, slots] = fresh.q
-        self.zr[:, slots] = fresh.zr
-        self.zi[:, slots] = fresh.zi
-
-    def keep(self, mask):
-        self.rows = self.rows[mask]
-        self.last = self.last[mask]
-        self.q = self.q[:, mask]
-        self.zr = self.zr[:, mask]
-        self.zi = self.zi[:, mask]
-        self._scratch = None
-
-    def scratch(self):
-        """Work arrays of one sweep, seven (d, m) and six (m,), reused."""
-        if self._scratch is None:
-            d, m = self.zr.shape
-            self._scratch = np.empty((7, d, m)), np.empty((6, m))
-        return self._scratch
 
 
 def _mul(ar, ai, br, bi, out_r, out_i, tmp):
@@ -118,16 +78,17 @@ def _abs2(re, im, out, tmp):
     out += tmp
 
 
-def _sweep(b):
-    """One Durand–Kerner sweep over every row in flight, in place.
+def _sweep(q, zr, zi, work):
+    """One Durand–Kerner sweep over the root-major rows of a chunk, in place.
 
-    Returns, per row, the largest |w|^2 of the sweep's corrections and
-    the largest |z|^2 of its updated roots, as the C code's ``step`` and
-    ``zmax``. Every operation is one the C code makes, in its order.
+    ``q``, ``zr`` and ``zi`` have shape (d, m): ``zr[j]`` holds root j of
+    every row. ``work`` comes from ``_work_arrays``. Returns, per row,
+    the largest |w|^2 of the sweep's corrections and the largest |z|^2 of
+    its updated roots, as the C code's ``step`` and ``zmax``. Every
+    operation is one the C code makes, in its order.
     """
-    q, zr, zi = b.q, b.zr, b.zi
     d = q.shape[0]
-    (pr, pi, ta, tb, tc, wr, wi), (dr, di, s1, s2, s3, den) = b.scratch()
+    (pr, pi, ta, tb, tc, wr, wi), (dr, di, s1, s2, s3, den) = work
     # p(z_j) at every root before any moves: Gauss–Seidel reads p(z_j)
     # before z_j itself moves, and the other roots do not enter it
     _mul_one(zr, zi, pr, pi, ta)
@@ -170,30 +131,38 @@ def _sweep(b):
     return step, np.fmax.reduce(ta, axis=0, initial=0.0)
 
 
+def _work_arrays(d, m):
+    """The work arrays of ``_sweep`` for m rows: seven (d, m) and six (m,)."""
+    return np.empty((7, d, m)), np.empty((6, m))
+
+
 def _durand_kerner(coeffs, rows, out):
-    """Write the radius of each of ``rows`` (degree >= 3) into ``out``."""
+    """Write the radius of each of ``rows`` (degree >= 3) into ``out``.
+
+    Runs ``_CHUNK`` rows at a time. A row leaves its chunk once it stops:
+    when its step falls below the tolerance, or after ``_MAX_ITER`` sweeps.
+    """
     d = coeffs.shape[1]
     cos0, sin0 = _start_directions(d)
-    queued = _CHUNK
-    b = _Batch(coeffs, rows[:queued], cos0, sin0, 0)
-    sweep = 0
-    while b.rows.size:
-        step, zmax = _sweep(b)
-        sweep += 1
-        radius = np.sqrt(zmax)
-        stop = np.sqrt(step) <= _TOL * (1.0 + radius)
-        stop |= b.last == sweep
-        if not stop.any():
-            continue
-        done = np.flatnonzero(stop)
-        out[b.rows[done]] = radius[done]
-        fresh = rows[queued : queued + done.size]
-        queued += fresh.size
-        if fresh.size:
-            b.replace(done[: fresh.size], _Batch(coeffs, fresh, cos0, sin0, sweep))
-        if fresh.size < done.size:
-            stop[done[: fresh.size]] = False
-            b.keep(~stop)
+    for first in range(0, rows.size, _CHUNK):
+        chunk = rows[first : first + _CHUNK]
+        q = coeffs[chunk].T.copy()
+        r0 = 1.0 + np.abs(q).max(axis=0)
+        zr, zi = r0 * cos0, r0 * sin0
+        work = _work_arrays(d, chunk.size)
+        for sweep in range(1, _MAX_ITER + 1):
+            step, zmax = _sweep(q, zr, zi, work)
+            radius = np.sqrt(zmax)
+            stop = np.sqrt(step) <= _TOL * (1.0 + radius)
+            stop |= sweep == _MAX_ITER
+            if not stop.any():
+                continue
+            out[chunk[stop]] = radius[stop]
+            keep = ~stop
+            if not keep.any():
+                break
+            chunk, q, zr, zi = chunk[keep], q[:, keep], zr[:, keep], zi[:, keep]
+            work = _work_arrays(d, chunk.size)
 
 
 def max_root_modulus_batch(coeffs):

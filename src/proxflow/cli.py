@@ -16,16 +16,18 @@ Subcommands:
 
 Every flag has a config-file equivalent (a flat JSON object); explicit
 flags win over it, and the option table ``OPTIONS``, which declares each
-flag once, fills in what neither sets. A config key that names no option
-of the command, a value its flag would reject, or a flag abbreviated to a
-prefix is a usage error, and so is a value repeated in ``--tau``,
-``--m-list`` or ``--l-list``. ``tables``, ``figure1`` and ``run`` compute
+flag once, fills in what neither sets. A config file that cannot be read
+or is not JSON, a config key that names no option of the command, a
+value its flag would reject, or a flag abbreviated to a prefix is a
+usage error, and so is a value repeated in ``--tau``, ``--m-list`` or
+``--l-list``. ``tables``, ``figure1`` and ``run`` compute
 their independent cells, curves and per-tau runs (and the F* reference
 of ``run l1``) on ``--jobs`` forked worker processes (default: the CPUs
 available to the process; never more than there are work units), and
 their ``run.json`` gives the number used as ``workers``; ``accel`` takes
 ``--jobs`` but runs in one process.
-``PROXFLOW_SEED`` provides the default seed. Exit codes:
+``PROXFLOW_SEED`` provides the default seed; a value that is not an
+integer is a usage error. Exit codes:
 0 success, 2 usage error, 3 numeric divergence (outputs still written),
 4 tolerance failure in ``tables``.
 """
@@ -605,8 +607,11 @@ def build_parser():
 def _apply_config(args, parser):
     options = [opt for opt in OPTIONS if args.command in opt.commands]
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"config file {args.config}: {exc}")
         if not isinstance(config, dict):
             parser.error("config file must hold a JSON object")
         # a key is the option's flag name or its dest
@@ -636,7 +641,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     _apply_config(args, parser)
     if args.seed is None:
-        args.seed = int(os.environ.get("PROXFLOW_SEED", "0"))
+        seed = os.environ.get("PROXFLOW_SEED", "0")
+        try:
+            args.seed = int(seed)
+        except ValueError:
+            parser.error(f"PROXFLOW_SEED must be an integer, got {seed!r}")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

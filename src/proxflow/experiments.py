@@ -46,10 +46,6 @@ class SensingProblem:
     seed: int
     singular_values: np.ndarray
 
-    @property
-    def shape(self):
-        return self.a.shape
-
 
 def gen_sensing(p, q, spectrum_kind, seed):
     """Generate A = U diag(sigma) V^T with the declared singular values.

@@ -189,8 +189,7 @@ def max_stable_alpha(mu, lmax, beta, m, xi):
     ``capped=True`` when the radius is below 1 there, so no bound was
     found inside the search interval. Each probe asks whether every root
     lies inside the unit circle with the Schur–Cohn test, which finds no
-    root. A probe first tests the one lambda row on which the last
-    unstable probe failed (at first L), and builds and tests every row
+    root. A probe first tests the L row, and builds and tests every row
     only when that row passes, so most unstable probes cost one row. The
     bisection ends once the midpoint is ``lo`` or ``hi``: from then on
     every probe would repeat a known answer. Raises ``ValidationError``
@@ -198,21 +197,15 @@ def max_stable_alpha(mu, lmax, beta, m, xi):
     """
     spec = CompanionSpec(xi, beta, beta, m)  # alpha placeholder
     lams = _lambda_grid(mu, lmax)
-    witness = lams.size - 1
 
     def stable(alpha):
-        nonlocal witness
-        # a length-1 slice, not the scalar lams[witness]: numpy's scalar
-        # power can differ in the last bit from the array power that
-        # builds the full batch
-        row = _coeff_rows(alpha, lams[witness : witness + 1], spec)
+        # a length-1 slice, not the scalar lams[-1]: numpy's scalar power
+        # can differ in the last bit from the array power that builds the
+        # full batch
+        row = _coeff_rows(alpha, lams[-1:], spec)
         if not _kernels.schur_stable_batch(row)[0]:
             return False
-        inside = _kernels.schur_stable_batch(_coeff_rows(alpha, lams, spec))
-        if inside.all():
-            return True
-        witness = int(np.argmin(inside))
-        return False
+        return bool(_kernels.schur_stable_batch(_coeff_rows(alpha, lams, spec)).all())
 
     hi = 10.0 * beta
     if stable(hi):

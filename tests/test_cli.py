@@ -279,6 +279,17 @@ class TestConfigPrecedence:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", [None, "{bad"], ids=["missing", "not-json"])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["accel", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"config file {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
         "argv, flag, value",
@@ -362,6 +373,14 @@ class TestConfigPrecedence:
               "--d", "4", "--out", str(out)])
         meta = json.loads((out / "run.json").read_text())
         assert meta["config"]["seed"] == 41
+
+    def test_env_seed_not_an_integer_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PROXFLOW_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["accel", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "PROXFLOW_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 COMMON_FLAGS = {"--out", "--jobs", "--config", "--seed"}

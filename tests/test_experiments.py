@@ -38,8 +38,8 @@ class TestGenSensing:
         assert np.array_equal(a.x_true, b.x_true)
 
     def test_reference_dimensions(self):
-        assert gen_sensing(50, 100, "uniform", 0).shape == (50, 100)
-        assert gen_sensing(20, 50, "inverse_r", 0).shape == (20, 50)
+        assert gen_sensing(50, 100, "uniform", 0).a.shape == (50, 100)
+        assert gen_sensing(20, 50, "inverse_r", 0).a.shape == (20, 50)
 
     def test_exp_decay_ratios(self):
         p = gen_sensing(12, 30, "exp_decay", 2)

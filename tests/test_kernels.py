@@ -183,7 +183,7 @@ class TestBatchIndependence:
     )
     def test_radius_has_the_same_bytes_in_any_batch(self, row, seed, chunk):
         # alone, at a random place in a random batch, and past the first
-        # ``chunk`` rows, which are in flight before it
+        # ``chunk`` rows, which run as an earlier chunk
         row = np.array(row)
         rng = seeded_rng(seed)
         others = rng.uniform(-3.0, 3.0, (chunk + 1, row.size))
@@ -196,8 +196,9 @@ class TestBatchIndependence:
 
     def test_rows_past_the_first_chunk_keep_their_bytes(self):
         # stability rows near a double root keep moving in the last bits
-        # until they stop, so they show any row that stops late
-        for rows in _stability_rows()[::3]:
+        # until they stop, so they show any row that stops late; a
+        # repeated root stops only at the sweep cap
+        for rows in _stability_rows()[::3] + _repeated_root_rows():
             whole = _kernels.max_root_modulus_batch(rows, backend="fallback")
             reverse = _kernels.max_root_modulus_batch(rows[::-1], backend="fallback")
             tail = _kernels.max_root_modulus_batch(rows[_fallback._CHUNK :], backend="fallback")
@@ -220,6 +221,26 @@ def _stability_rows():
     return rows
 
 
+# a root, its multiplicity, and the radius both kernels give the row of
+# (z - root)^multiplicity: it never meets the tolerance, and the radius is
+# the one after the _MAX_ITER-th sweep
+REPEATED_ROOTS = [(0.3, 3, 0.30000122), (0.5, 4, 0.50002423), (-0.7, 5, 0.70061597),
+                  (0.4, 6, 0.40111189)]
+
+
+def _repeated_root_rows():
+    """Per repeated root, random rows of its degree with its row first and last.
+
+    The batch has ``_CHUNK`` + 2 rows, so the last row is past the first chunk.
+    """
+    batches = []
+    for root, multiplicity, _ in REPEATED_ROOTS:
+        batch = random_batch(multiplicity + 400, _fallback._CHUNK + 2, multiplicity)
+        batch[[0, -1]] = np.poly(np.full(multiplicity, root))[:0:-1]
+        batches.append(batch)
+    return batches
+
+
 @pytest.mark.usefixtures("native")
 class TestNativeParity:
     def test_matches_fallback(self):
@@ -228,12 +249,16 @@ class TestNativeParity:
         huge = [random_batch(d + 200, 100, d, scale=1e300) for d in (2, 3, 16)]
         # and rows with tiny roots, which reach them scaled as well
         tiny = [random_batch(d + 300, 100, d, scale=1e-60) for d in (3, 16)]
-        for rows in batches + huge + tiny + _stability_rows():
+        repeated = _repeated_root_rows()
+        for rows in batches + huge + tiny + _stability_rows() + repeated:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 fb = _kernels.max_root_modulus_batch(rows, backend="fallback")
             nat = _kernels.max_root_modulus_batch(rows, backend="native")
             assert np.array_equal(fb, nat)
+        for (*_, radius), rows in zip(REPEATED_ROOTS, repeated):
+            nat = _kernels.max_root_modulus_batch(rows[[0, -1]], backend="native")
+            assert nat == pytest.approx([radius, radius], rel=0, abs=5e-9)
 
     def test_is_faster_on_large_batch(self):
         # smoke benchmark: the compiled kernel should not be slower

@@ -219,7 +219,7 @@ def schur_rows(monkeypatch):
 
 
 class TestStableAlphaShortcuts:
-    """The witness row and the one-ulp stop keep every bit."""
+    """The L row first and the one-ulp stop keep every bit."""
 
     def test_table_cells_equal_the_every_row_bisection(self):
         for tau, m, beta, lmax in TABLE_CELLS:
@@ -264,7 +264,7 @@ class TestStableAlphaShortcuts:
             assert max_stable_alpha(*args) == every_row_stable_alpha(*args, schur_cohn_stable)
 
     def test_a_failing_probe_mostly_tests_one_row(self, schur_rows, monkeypatch):
-        # every probe first tests the witness row, and the full 514 rows
+        # every probe first tests the L row, and the full 514 rows
         # only when it passes: the bdf3, m = 4, beta = 1, L = 10 cell takes
         # 65 probes, 29 of them full, about 0.45 of 514 rows per probe
         grids = []
@@ -275,7 +275,7 @@ class TestStableAlphaShortcuts:
 
         monkeypatch.setattr(spectral, "_coeff_rows", recording)
         max_stable_alpha(1.0, 10.0, 1.0, 4, tuple(bdf_coefficients(3)[0]))
-        # the witness row comes from a slice of the grid, never from a numpy
+        # the L row comes from a slice of the grid, never from a numpy
         # scalar, whose ** can differ in the last bit from the array **
         assert set(grids) == {1}
         lams = _lambda_grid(1.0, 10.0).size
