@@ -26,8 +26,8 @@ of ``run l1``) on ``--jobs`` forked worker processes (default: the CPUs
 available to the process; never more than there are work units), and
 their ``run.json`` gives the number used as ``workers``; ``accel`` takes
 ``--jobs`` but runs in one process.
-``PROXFLOW_SEED`` provides the default seed; a value that is not an
-integer is a usage error. Exit codes:
+``PROXFLOW_SEED`` provides the default seed; a value that is not a
+non-negative integer is a usage error, as it is for ``--seed``. Exit codes:
 0 success, 2 usage error, 3 numeric divergence (outputs still written),
 4 tolerance failure in ``tables``.
 """
@@ -471,10 +471,24 @@ def _finite_float(text):
     return value
 
 
+def _positive_float(text):
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
 def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -538,7 +552,7 @@ OPTIONS = (
            "worker processes for tables, figure1 and run (default: CPUs "
            "available); unused by accel"),
     Option("--config", COMMANDS, help="JSON config file (flags win)"),
-    Option("--seed", COMMANDS, int, help="random seed"),
+    Option("--seed", COMMANDS, _seed_int, help="random seed (a non-negative integer)"),
     Option("--only", ("tables",), choices=tuple(sorted(METHOD_TAU)),
            help="restrict to one method"),
     Option("--tau", ("figure1", "run"), _int_list, dict.fromkeys(("figure1", *RUNS), (1, 2, 3))),
@@ -553,8 +567,8 @@ OPTIONS = (
         "beta / (beta L + 1)); run matfac: proximal weight of each block solve "
         "(default 0.1); run altproj: unused",
     ),
-    Option("--beta-min", ("figure1",), _finite_float, {"figure1": 0.05}),
-    Option("--beta-max", ("figure1",), _finite_float, {"figure1": 50.0}),
+    Option("--beta-min", ("figure1",), _positive_float, {"figure1": 0.05}),
+    Option("--beta-max", ("figure1",), _positive_float, {"figure1": 50.0}),
     Option("--beta-points", ("figure1",), _positive_int, {"figure1": 25}),
     Option("--lambda", ("run",), _finite_float, {"run l1": 0.01}, dest="lam"),
     Option("--theta", ("run",), _finite_float, {"run lsp": 5.0}),
@@ -643,9 +657,9 @@ def main(argv=None):
     if args.seed is None:
         seed = os.environ.get("PROXFLOW_SEED", "0")
         try:
-            args.seed = int(seed)
-        except ValueError:
-            parser.error(f"PROXFLOW_SEED must be an integer, got {seed!r}")
+            args.seed = _seed_int(seed)
+        except (ValueError, argparse.ArgumentTypeError):
+            parser.error(f"PROXFLOW_SEED must be a non-negative integer, got {seed!r}")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

@@ -247,6 +247,9 @@ def _lattice_argmin(alphas, lams, spec):
     local minimum that a neighbour exceeds by more than ``_PLATEAU_TOL``,
     because the radius can have two basins (a narrow spectrum gives two of
     nearly equal depth). A basin narrower than a coarse cell is not seen.
+    The fine pass builds every grid row only for the alphas whose endpoint
+    rows do not already put them above a computed worst radius; index and
+    radius are those of the full fine pass.
     """
     coarse = np.arange(0, alphas.size, _COARSE_STRIDE)
     worst = _worst_radius(alphas[coarse, None], lams, spec)
@@ -259,7 +262,15 @@ def _lattice_argmin(alphas, lams, spec):
     for c in coarse[bottom | basin]:
         fine[max(c - _COARSE_STRIDE, 0) : c + _COARSE_STRIDE + 1] = True
     index = np.flatnonzero(fine)
-    worst = _worst_radius(alphas[index, None], lams, spec)
+    # the larger endpoint radius bounds each fine alpha's worst radius from
+    # below; an alpha whose bound exceeds one computed worst radius w0 cannot
+    # hold the minimum, keeps the placeholder inf, and is not computed
+    ends = _worst_radius(alphas[index, None], lams[[0, -1]], spec)
+    first = index[np.argmin(ends)]
+    w0 = _worst_radius(alphas[first : first + 1, None], lams, spec)[0]
+    keep = ~(ends > w0)  # holds the alpha of w0, whose bound is at most w0
+    worst = np.full(index.size, np.inf)
+    worst[keep] = _worst_radius(alphas[index[keep], None], lams, spec)
     best = int(np.argmin(worst))
     return int(index[best]), float(worst[best])
 

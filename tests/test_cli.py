@@ -375,11 +375,45 @@ class TestConfigPrecedence:
         assert meta["config"]["seed"] == 41
 
     def test_env_seed_not_an_integer_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PROXFLOW_SEED", "abc")
+        # a negative seed fails here too, not in numpy's seed check
+        for seed in ("abc", "-5"):
+            monkeypatch.setenv("PROXFLOW_SEED", seed)
+            with pytest.raises(SystemExit) as exc:
+                main(["accel", "--out", str(tmp_path / "o")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"PROXFLOW_SEED must be a non-negative integer, got {seed!r}" in err
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv, flag, value, message",
+        [
+            (["accel"], "--seed", "-5", "must be at least 0, got -5"),
+            (["run", "l1"], "--seed", "-5", "must be at least 0, got -5"),
+            (["figure1"], "--beta-min", "0", "must be > 0"),
+            (["figure1"], "--beta-min", "-1", "must be > 0"),
+            (["figure1"], "--beta-max", "-0.0", "must be > 0"),
+        ],
+        ids=["accel-seed", "run-seed", "beta-min-0", "beta-min-negative", "beta-max"],
+    )
+    def test_out_of_range_value_names_its_flag(
+        self, tmp_path, capsys, argv, flag, value, message, source
+    ):
+        # numpy would reject these later without naming the option, after a
+        # RuntimeWarning from geomspace for a negative beta bound
+        if source == "flag":
+            argv = [*argv, f"{flag}={value}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            argv = [*argv, "--config", str(cfg)]
         with pytest.raises(SystemExit) as exc:
-            main(["accel", "--out", str(tmp_path / "o")])
+            main([*argv, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
-        assert "PROXFLOW_SEED" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
+        assert "Warning" not in err
         assert not (tmp_path / "o").exists()
 
 

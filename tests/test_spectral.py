@@ -385,6 +385,42 @@ class TestOptimalRate:
             assert got.rho <= other + 1e-9
 
 
+def every_alpha_fine_pass(alphas, lams, spec):
+    """``_lattice_argmin`` with its fine pass as first written: the worst
+    radius of every fine alpha, from all its grid rows."""
+    coarse = np.arange(0, alphas.size, _COARSE_STRIDE)
+    worst = _worst_radius(alphas[coarse, None], lams, spec)
+    padded = np.pad(worst, 1, constant_values=np.inf)
+    low = np.minimum(padded[:-2], padded[2:])
+    high = np.maximum(padded[:-2], padded[2:])
+    bottom = worst <= worst.min() + spectral._PLATEAU_TOL
+    basin = (worst <= low) & (worst + spectral._PLATEAU_TOL < high)
+    fine = np.zeros(alphas.size, dtype=bool)
+    for c in coarse[bottom | basin]:
+        fine[max(c - _COARSE_STRIDE, 0) : c + _COARSE_STRIDE + 1] = True
+    index = np.flatnonzero(fine)
+    worst = _worst_radius(alphas[index, None], lams, spec)
+    best = int(np.argmin(worst))
+    return int(index[best]), float(worst[best])
+
+
+def lattice_cell(tau, m, beta, lmax):
+    """``optimal_rate``'s lattice, grid and spec of one cell, or None when
+    no step size is stable."""
+    xi = tuple(bdf_coefficients(tau)[0])
+    bound = max_stable_alpha(1.0, lmax, beta, m, xi)
+    if not bound.stable:
+        return None
+    n = _ALPHA_GRID_POINTS
+    alphas = np.linspace(bound.alpha / n, bound.alpha, n)
+    return alphas, _lambda_grid(1.0, lmax), CompanionSpec(xi, bound.alpha, beta, m)
+
+
+def same_argmin(got, want):
+    """Equal index and radius bits."""
+    return got[0] == want[0] and got[1].hex() == want[1].hex()
+
+
 class TestAlphaLattice:
     @given(
         tau=st.sampled_from([1, 2]),
@@ -425,6 +461,56 @@ class TestAlphaLattice:
         # noise is the reported alpha
         got = optimal_rate(1.0, 2.0, beta, 20, (1.0,))
         assert (got.rho, got.alpha) == (rho, alpha)
+
+    @pytest.mark.parametrize("tau, m, beta, lmax", TABLE_CELLS)
+    def test_table_cells_equal_the_every_alpha_fine_pass(self, tau, m, beta, lmax):
+        alphas, lams, spec = lattice_cell(tau, m, beta, lmax)
+        assert same_argmin(_lattice_argmin(alphas, lams, spec), every_alpha_fine_pass(alphas, lams, spec))
+
+    @given(
+        tau=st.integers(1, 4),
+        m=st.integers(1, 20),
+        beta=st.floats(0.1, 10.0),
+        lmax=st.floats(1.0, 10.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_random_cells_equal_the_every_alpha_fine_pass(self, tau, m, beta, lmax):
+        cell = lattice_cell(tau, m, beta, lmax)
+        assume(cell is not None)
+        assert same_argmin(_lattice_argmin(*cell), every_alpha_fine_pass(*cell))
+
+    def test_an_alpha_whose_bound_ties_w0_is_computed(self, monkeypatch):
+        # made-up radii: a plateau of 0.5 on lattice points 10..20, whose
+        # endpoint bound is 0.3 except at point 10, where the endpoints set
+        # the worst radius. w0 = 0.5 comes from point 11, and point 10, whose
+        # bound equals w0, is the first argmin
+        worst = np.full(_ALPHA_GRID_POINTS, 0.9)
+        worst[10:21] = 0.5
+        bound = worst - 0.2
+        bound[10] = 0.5
+
+        def made_up(alpha, lams, spec):
+            index = np.asarray(alpha).astype(int).ravel()
+            return (bound if lams.size == 2 else worst)[index]
+
+        monkeypatch.setattr(spectral, "_worst_radius", made_up)
+        alphas = np.arange(float(_ALPHA_GRID_POINTS))
+        spec = CompanionSpec((1.0,), 1.0, 1.0, 4)
+        assert _lattice_argmin(alphas, _lambda_grid(1.0, 2.0), spec) == (10, 0.5)
+
+    @pytest.mark.parametrize("top", [1e160, 1e300], ids=["mixed", "all-inf"])
+    def test_non_finite_radii_give_the_every_alpha_argmin(self, top):
+        # a^20 overflows from the second lattice point on (top 1e160), or
+        # everywhere (1e300): those alphas have the radius inf
+        xi = tuple(bdf_coefficients(3)[0])
+        spec = CompanionSpec(xi, 1.0, 1.0, 20)
+        lams = _lambda_grid(1.0, 2.0)
+        alphas = np.linspace(top / _ALPHA_GRID_POINTS, top, _ALPHA_GRID_POINTS)
+        if top < 1e300:
+            alphas[0] = 0.01
+        got = _lattice_argmin(alphas, lams, spec)
+        assert same_argmin(got, every_alpha_fine_pass(alphas, lams, spec))
+        assert (got[1] < np.inf) == (top < 1e300)
 
 
 class TestBetaScan:
