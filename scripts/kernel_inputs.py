@@ -1,4 +1,4 @@
-"""Record the root-modulus kernel inputs of proxflow commands, and replay them.
+"""Record the root-modulus kernel inputs of proxflow commands, replay and compare them.
 
     PYTHONPATH=src python3 scripts/kernel_inputs.py record DIR
         Runs ``tables`` and ``figure1 --tau 1,2,3,4 --beta-points 100``
@@ -8,15 +8,22 @@
         per call. From degree 3 on, a call over several lambda grids is
         recorded as the two calls that ``spectral._group_max_radius``
         makes: the grids' endpoint rows, then the inner rows that the
-        Schur–Cohn certificate does not rule out. Prints the same counts
-        for ``_kernels.schur_stable_batch``, the Schur–Cohn test of
-        ``max_stable_alpha`` and of that certificate; its rows are not
-        saved.
+        certificate does not rule out. Prints the same counts for
+        ``_kernels.schur_stable_batch``, the Schur–Cohn test of
+        ``max_stable_alpha`` and of that certificate; the certificate
+        sends it only the inner rows that its sum test leaves, a block of
+        groups at a time. Its rows are not saved.
     PYTHONPATH=src python3 scripts/kernel_inputs.py replay DIR [--backend B] [--save FILE]
         Calls the kernel again on every recorded call, in the recorded
         order and batches, and prints the time per command. ``--save``
         writes the radii, one array per command, for a bitwise comparison
         with another backend or version.
+    PYTHONPATH=src python3 scripts/kernel_inputs.py compare OLD NEW
+        Compares two recordings, command by command: equal call by call
+        (the same calls in the same order, bit for bit), else equal as a
+        multiset of rows per degree (the same rows, bit for bit, in other
+        calls or another order). Prints which holds, and exits 1 when
+        neither holds for some command.
 """
 
 import argparse
@@ -92,6 +99,40 @@ def replay(directory, backend, save):
         np.savez(save, **radii)
 
 
+def row_multisets(calls):
+    """Per degree, the bytes of every row of ``calls``, sorted."""
+    per_degree = defaultdict(list)
+    for c in calls:
+        per_degree[c.shape[1]].append(c)
+    return {
+        d: np.sort(np.concatenate(cs).view(np.dtype((np.void, 8 * d))).ravel())
+        for d, cs in per_degree.items()
+    }
+
+
+def same_multisets(old, new):
+    return old.keys() == new.keys() and all(
+        old[d].size == new[d].size and (old[d] == new[d]).all() for d in old
+    )
+
+
+def compare(old_dir, new_dir):
+    """Print how each command's recorded calls compare; False if any differ."""
+    ok = True
+    for name in COMMANDS:
+        old, new = load(old_dir / f"{name}.npz"), load(new_dir / f"{name}.npz")
+        if len(old) == len(new) and all(
+            a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(old, new)
+        ):
+            print(f"{name}: equal call by call ({len(old)} calls)")
+        elif same_multisets(row_multisets(old), row_multisets(new)):
+            print(f"{name}: equal as a multiset of rows per degree, not call by call")
+        else:
+            print(f"{name}: differ, as calls and as a multiset of rows per degree")
+            ok = False
+    return ok
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="action", required=True)
@@ -101,11 +142,16 @@ def main(argv=None):
     rep.add_argument("dir", type=Path)
     rep.add_argument("--backend", choices=["native", "fallback"])
     rep.add_argument("--save", type=Path)
+    cmp = sub.add_parser("compare")
+    cmp.add_argument("old", type=Path)
+    cmp.add_argument("new", type=Path)
     args = parser.parse_args(argv)
     if args.action == "record":
         record(args.dir)
-    else:
+    elif args.action == "replay":
         replay(args.dir, args.backend, args.save)
+    else:
+        return 0 if compare(args.old, args.new) else 1
     return 0
 
 

@@ -121,19 +121,42 @@ def schur_stable_batch(coeffs):
     A vanishing leading coefficient (a root on the circle, or a pair
     mirrored in it) and a NaN or infinite coefficient count as not
     stable. A row leaves the recursion at its first failure, so it raises
-    no warning. Raises ValueError for a degree outside 1..``MAX_DEGREE``.
+    no warning. The recursion runs in place in one (d + 1, N) work array,
+    coefficient-major, with O(N) temporaries. Raises ValueError for a
+    degree outside 1..``MAX_DEGREE``.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=float)
     d = _degree(coeffs)
     stable = np.isfinite(coeffs).all(axis=1)
-    rows = np.flatnonzero(stable)
-    p = np.concatenate((coeffs[rows], np.ones((rows.size, 1))), axis=1)
+    rows = np.arange(stable.size) if stable.all() else np.flatnonzero(stable)
+    p = np.empty((d + 1, rows.size))
+    if rows.size == stable.size:
+        p[:d] = coeffs.T
+    else:
+        for i in range(d):
+            p[i] = coeffs[rows, i]
+    p[d] = 1.0
     with np.errstate(all="ignore"):
         for k in range(d, 0, -1):
-            c = p[:, 0] / p[:, k]
+            c = p[0] / p[k]
             inside = np.abs(c) < 1.0
             if not inside.all():
                 stable[rows[~inside]] = False
-                rows, p, c = rows[inside], p[inside], c[inside]
-            p = p[:, 1 : k + 1] - c[:, None] * p[:, k - 1 :: -1]
+                keep = np.flatnonzero(inside)
+                rows, c = rows[keep], c[keep]
+                for i in range(k + 1):
+                    p[i, : keep.size] = p[i, keep]
+                p = p[:, : keep.size]
+            if k == 1:
+                break
+            # q_i = p_i - c p_(k-i) for i = 1..k, in place pair by pair;
+            # q_0 = 0, so q_1..q_k is the next row
+            for i in range(1, (k + 1) // 2):
+                low = p[i] - c * p[k - i]
+                p[k - i] -= c * p[i]
+                p[i] = low
+            if k % 2 == 0:
+                p[k // 2] -= c * p[k // 2]
+            p[k] -= c * p[0]
+            p = p[1:]
     return stable

@@ -8,10 +8,11 @@ Subcommands:
 - ``figure1``: radius-versus-beta curves per (L, m) panel.
 - ``run``: one of the four application experiments (l1, lsp, altproj,
   matfac), emitting trace CSV + SVG and a ``run.json`` sidecar; its
-  ``fixed_at`` gives, per tau, the first step that reused a fixed point,
-  and for ``run l1`` ``nonpositive_gaps`` gives, per tau, how many of
-  its objective-gap points are not positive (the log-scale plot leaves
-  them out).
+  ``fixed_at`` gives, per tau, the first step that reused a fixed point;
+  for ``run l1`` ``nonpositive_gaps`` gives, per tau, how many of its
+  objective-gap points are not positive (the log-scale plot leaves them
+  out), and for ``run lsp`` ``start_stationary`` says, per tau, whether
+  its stationarity measure is 0 at the start (k = 0).
 - ``accel``: tuned two-step coefficients with predicted and fitted rates.
 
 Every flag has a config-file equivalent (a flat JSON object); explicit
@@ -289,23 +290,19 @@ def cmd_figure1(args):
     out = Path(args.out)
     betas = np.geomspace(args.beta_min, args.beta_max, args.beta_points)
     panels = [(lmax, m) for lmax in args.l_list for m in args.m_list]
-    # the costliest curves first, so that no long curve starts last while
-    # the other workers idle: a curve's cost grows with tau, its root
-    # count, and with m
-    units = sorted(
-        ((lmax, m, tau) for lmax, m in panels for tau in args.tau),
-        key=lambda unit: (-unit[2], -unit[1]),
-    )
+    # one work unit per panel, the costliest first, so that no long panel
+    # starts last while the other workers idle: a panel's cost grows with m
+    units = sorted(panels, key=lambda panel: -panel[1])
 
     def work(unit):
-        lmax, m, tau = unit
-        return beta_scan(1.0, lmax, m, args.alpha, tau, betas)
+        lmax, m = unit
+        return beta_scan(1.0, lmax, m, args.alpha, args.tau, betas)
 
     curves, workers = _parallel(work, units, args.jobs)
-    curve = dict(zip(units, curves))
+    panel_curves = dict(zip(units, curves))
     plots = []
     for lmax, m in panels:
-        per_tau = [curve[lmax, m, tau] for tau in args.tau]
+        per_tau = panel_curves[lmax, m]
         series = [
             Trace(tau, "figure1", metrics={"radius": [(r["beta"], r["radius"]) for r in rows]})
             for tau, rows in zip(args.tau, per_tau)
@@ -355,6 +352,10 @@ def cmd_run(args):
         axes = AxesSpec(
             "lsp stationarity", "iteration", "epsilon_beta", "epsilon_beta"
         )
+        # a start with epsilon_beta = 0 is stationary: the run measures nothing
+        extra["start_stationary"] = {
+            str(t): trace.metrics["epsilon_beta"][0] == (0, 0.0) for t, trace in traces.items()
+        }
     elif args.experiment == "altproj":
         pair = gen_subspaces(args.n, args.d, args.sigma, args.seed)
         traces = run_altproj(pair, args.tau, args.iters, pooled)

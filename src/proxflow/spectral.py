@@ -38,6 +38,7 @@ _COARSE_STRIDE = 32
 _PLATEAU_TOL = 1e-12
 _BISECTION_STEPS = 60
 _CERTIFY_MARGIN = 1e-6
+_BLOCK_ROWS = 8192
 
 
 class StabilityError(ArithmeticError):
@@ -74,30 +75,72 @@ class CompanionSpec:
         return len(self.xi)
 
 
-def _coeff_rows(alpha, lams, spec):
-    """Ascending monic coefficient rows of the characteristic polynomial.
+def _powers(alpha, beta, lams, m):
+    """``a**m`` and b of the recursion at every (alpha, beta, lambda).
 
-    ``alpha`` is a float or a column of k alphas, shape (k, 1); the rows
-    run over every (alpha, lambda) pair, alpha-major. ``spec.alpha`` is
-    not read. A row's bits do not depend on the other alphas: every row is
-    built by the same elementwise operations. When ``a**m`` overflows the
-    row holds inf or NaN, without a warning; the root-modulus kernel gives
-    such a row the radius inf.
+    ``alpha`` or ``beta`` may be a column of k values, shape (k, 1); both
+    results then have shape (k, ``lams.size``), one row per value. A
+    value's bits do not depend on the other values: every entry is built
+    by the same elementwise operations. When ``a**m`` overflows, the
+    entries hold inf or NaN, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ab = alpha / spec.beta
+        ab = alpha / beta
         a = 1.0 - ab - alpha * lams
-        am = a**spec.m
+        am = a**m
         one_minus_a = 1.0 - a
         series = np.where(
-            np.abs(one_minus_a) > 1e-12, (1.0 - am) / np.where(one_minus_a == 0, 1.0, one_minus_a), float(spec.m)
+            np.abs(one_minus_a) > 1e-12, (1.0 - am) / np.where(one_minus_a == 0, 1.0, one_minus_a), float(m)
         )
-        b = ab * series
-        rows = np.empty(a.shape + (spec.tau,))
-        for i in range(spec.tau - 1):
-            rows[..., i] = -b * spec.xi[i]
-        rows[..., spec.tau - 1] = -(am + b * spec.xi[spec.tau - 1])
-    return rows.reshape(-1, spec.tau)
+        return am, ab * series
+
+
+def _rows(am, b, xi):
+    """Ascending monic coefficient rows of the characteristic polynomial
+    with weights ``xi``, one per entry of ``_powers``' ``am`` and ``b``, in
+    their C order. A row that holds inf or NaN gets the radius inf from
+    the root-modulus kernel.
+    """
+    tau = len(xi)
+    rows = np.empty(am.shape + (tau,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(tau - 1):
+            rows[..., i] = -b * xi[i]
+        rows[..., tau - 1] = -(am + b * xi[tau - 1])
+    return rows.reshape(-1, tau)
+
+
+def _coeff_rows(alpha, lams, spec):
+    """The rows of ``spec`` over every (alpha, lambda) pair, alpha-major.
+
+    ``alpha`` is a float or a column of k alphas, shape (k, 1);
+    ``spec.alpha`` is not read.
+    """
+    return _rows(*_powers(alpha, spec.beta, lams, spec.m), spec.xi)
+
+
+def _inside(inner, s):
+    """Whether every root of each row lies inside its group's radius.
+
+    ``inner`` holds g groups of rows, shape (g, k, d), and ``s`` the g
+    radii. Each row is scaled to p(s z), whose coefficients are
+    q_i / s^(d-i), and passes when the sum of their moduli is below 1
+    (Rouché's theorem: every root of z^d + sum c_i z^i then lies inside
+    the unit circle), or else when ``schur_stable_batch`` passes it. A
+    NaN or inf row fails the sum and goes on to Schur–Cohn, which fails
+    it too.
+    """
+    d = inner.shape[-1]
+    powers = np.arange(d, 0, -1)
+    # s = frac * 2^exp, so that no power of s overflows
+    frac, exp = np.frexp(s[:, None, None])
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = np.ldexp(inner / frac**powers, -exp * powers).reshape(-1, d)
+    inside = np.abs(scaled).sum(axis=1) < 1.0
+    rest = np.flatnonzero(~inside)
+    if rest.size:
+        inside[rest] = _kernels.schur_stable_batch(scaled[rest])
+    return inside.reshape(inner.shape[:2])
 
 
 def _group_max_radius(rows, size):
@@ -106,14 +149,16 @@ def _group_max_radius(rows, size):
     Each group runs over the lambda grid, and its largest radius mostly
     lies at an endpoint, mu or L. So the kernel first runs on the endpoint
     rows of every group. With s = (1 - ``_CERTIFY_MARGIN``) times the
-    larger endpoint radius, an inner row whose scaled polynomial p(s z)
-    passes the Schur–Cohn test has every root inside radius s, and cannot
-    set the maximum: the kernel stops at 1e-13, far inside the margin.
-    Only the other rows go to the kernel, in one more call. A row's radius
-    does not depend on its batch, so every maximum has the bits of the
-    kernel on all rows. A group whose endpoint radius is 0, inf or NaN
-    certifies nothing. Degrees 1 and 2 (closed forms), one-point grids
-    and a single group take one kernel call on all rows.
+    larger endpoint radius, an inner row whose roots ``_inside`` puts
+    inside radius s cannot set the maximum: the kernel stops at 1e-13, far
+    inside the margin, which also covers the rounding of the scaled sum.
+    The certificate runs on the inner rows of at most ``_BLOCK_ROWS`` rows'
+    worth of groups at a time, so its scaled copies stay small. Only the
+    rows it leaves go to the kernel, in one more call. A row's radius does
+    not depend on its batch, so every maximum has the bits of the kernel
+    on all rows. A group whose endpoint radius is 0, inf or NaN certifies
+    nothing. Degrees 1 and 2 (closed forms), one-point grids and a single
+    group take one kernel call on all rows.
     """
     n, d = rows.shape
     if d <= 2 or size < 3 or n == size:
@@ -124,15 +169,12 @@ def _group_max_radius(rows, size):
     radii[:, [0, -1]] = _kernels.max_root_modulus_batch(ends).reshape(-1, 2)
     s = (1.0 - _CERTIFY_MARGIN) * radii.max(axis=1)
     sure = np.flatnonzero(np.isfinite(s) & (s > 0.0))
-    # q_i / s^(d-i), with s = frac * 2^exp so that no power of s overflows
-    frac, exp = np.frexp(s[sure, None, None])
-    powers = np.arange(d, 0, -1)
-    with np.errstate(over="ignore", under="ignore"):
-        scaled = np.ldexp(groups[sure, 1:-1] / frac**powers, -exp * powers)
-    inside = _kernels.schur_stable_batch(scaled.reshape(-1, d)).reshape(sure.size, size - 2)
     todo = np.ones(radii.shape, dtype=bool)
     todo[:, [0, -1]] = False
-    todo[sure, 1:-1] = ~inside
+    per_block = max(1, _BLOCK_ROWS // (size - 2))
+    for first in range(0, sure.size, per_block):
+        block = sure[first : first + per_block]
+        todo[block, 1:-1] = ~_inside(groups[block, 1:-1], s[block])
     if todo.any():
         radii[todo] = _kernels.max_root_modulus_batch(groups[todo])
     return radii.max(axis=1)
@@ -161,18 +203,28 @@ def _lambda_grid(mu, lmax):
     return np.concatenate(([mu], np.geomspace(lo, lmax, _LAMBDA_GRID_POINTS), [lmax]))
 
 
-def spectrum_radius(specs, mu, lmax):
-    """Worst-case radius of each ``CompanionSpec`` in the list ``specs``
-    over eigenvalues in [mu, L], as an array.
+def spectrum_radius(xis, alpha, betas, m, mu, lmax):
+    """Worst-case radius over eigenvalues in [mu, L] of each weight vector
+    of ``xis`` at each beta of ``betas``, as a (len(xis), len(betas)) array.
 
-    The 514-point grid is mu, 512 log-spaced points and L. All radii come
-    from at most two kernel calls (``_group_max_radius``); a radius does
-    not depend on the other specs, because the kernel's result for a row
-    does not depend on the other rows of its batch.
+    Each (xi, beta) pair is checked as its ``CompanionSpec`` would be.
+    ``a**m`` and b do not depend on xi, so they are computed once, with
+    beta as a column, and only the coefficient rows are built per xi.
+    This matters for ``figure1``: at alpha = 1 every base
+    a = 1 - alpha/beta - alpha lambda is negative, and numpy's array pow
+    costs 20 to 30 times more per element on a negative base than on a
+    positive one. The 514-point grid is mu, 512 log-spaced points and L.
+    Each xi's radii come from at most two kernel calls
+    (``_group_max_radius``); a radius does not depend on the other betas,
+    because the kernel's result for a row does not depend on the other
+    rows of its batch.
     """
+    for xi in xis:
+        for beta in betas:
+            CompanionSpec(xi, alpha, beta, m)  # the checks of one (xi, beta) pair
     lams = _lambda_grid(mu, lmax)
-    rows = np.concatenate([_coeff_rows(s.alpha, lams, s) for s in specs])
-    return _group_max_radius(rows, lams.size)
+    am, b = _powers(alpha, np.asarray(betas, dtype=float)[:, None], lams, m)
+    return np.array([_group_max_radius(_rows(am, b, xi), lams.size) for xi in xis])
 
 
 class StableAlpha(NamedTuple):
@@ -325,26 +377,30 @@ def optimal_rate(mu, lmax, beta, m, xi):
     return OptimalRate(best_rho, best_alpha, bound.alpha)
 
 
-def beta_scan(mu, lmax, m, alpha, tau, betas):
-    """The radius curve over a beta grid of the order-``tau`` BDF weights.
+def beta_scan(mu, lmax, m, alpha, taus, betas):
+    """One figure-1 panel: for each tau of ``taus``, the radius curve of the
+    order-tau BDF weights over a beta grid.
 
-    One dict per grid point, keyed by the figure-1 CSV columns. The curve
-    takes one kernel call over the rows of all its betas.
+    A curve is one dict per grid point, keyed by the figure-1 CSV columns,
+    and the curves come in ``taus`` order. One ``spectrum_radius`` call
+    computes the whole panel.
     """
-    xi = bdf_coefficients(tau)[0]
-    specs = [CompanionSpec(xi, alpha, beta, m) for beta in betas]
+    xis = [bdf_coefficients(tau)[0] for tau in taus]
     span = f"[{mu:g},{lmax:g}]"
     return [
-        {
-            "tau": tau,
-            "m": m,
-            "alpha": alpha,
-            "beta": beta,
-            "lambda_or_range": span,
-            "radius": rho,
-            "stable": int(rho < 1.0),
-        }
-        for beta, rho in zip(betas, spectrum_radius(specs, mu, lmax).tolist())
+        [
+            {
+                "tau": tau,
+                "m": m,
+                "alpha": alpha,
+                "beta": beta,
+                "lambda_or_range": span,
+                "radius": rho,
+                "stable": int(rho < 1.0),
+            }
+            for beta, rho in zip(betas, curve)
+        ]
+        for tau, curve in zip(taus, spectrum_radius(xis, alpha, betas, m, mu, lmax).tolist())
     ]
 
 

@@ -12,7 +12,7 @@ from proxflow.altproj_accel import (
 )
 from proxflow.experiments import gen_subspaces
 from proxflow.numerics import ValidationError, seeded_rng
-from proxflow.spectral import CompanionSpec, spectrum_radius
+from proxflow.spectral import spectrum_radius
 
 
 class TestProjectionSpectrum:
@@ -82,9 +82,8 @@ class TestMultistepAltprojRadius:
             beta = 1.0
             alpha = lam * beta
             lam_q = (1.0 - lam) / alpha
-            spec = CompanionSpec(xi, alpha, beta, 1)
             assert multistep_altproj_radius(lam, xi) == pytest.approx(
-                spectrum_radius([spec], lam_q, lam_q)[0], abs=1e-12
+                spectrum_radius([xi], alpha, [beta], 1, lam_q, lam_q)[0, 0], abs=1e-12
             )
 
 

@@ -227,6 +227,21 @@ class TestRun:
         ET.parse(out / "lsp.svg")
         assert (out / "run.json").exists()
 
+    @pytest.mark.parametrize("seed, stationary", [(1, True), (0, False)])
+    def test_run_json_says_whether_the_lsp_start_is_stationary(self, tmp_path, seed, stationary):
+        # at the defaults, x0 = 0 is stationary on seed 1 and not on seed 0
+        out = tmp_path / "lsp"
+        assert main(["run", "lsp", "--seed", str(seed), "--iters", "50", "--jobs", "1",
+                     "--out", str(out)]) == 0
+        starts = {tau: rows[0] for tau, rows in
+                  _trace_rows(out / "lsp_traces.csv", "epsilon_beta").items()}
+        assert {tau: (k, value == 0.0) for tau, (k, value, _) in starts.items()} == {
+            tau: (0, stationary) for tau in (1, 2, 3)
+        }
+        assert json.loads((out / "run.json").read_text())["start_stationary"] == {
+            "1": stationary, "2": stationary, "3": stationary
+        }
+
     def test_lsp_tol_met_at_the_start_takes_no_step(self, tmp_path):
         # seed 3: x0 = 0 is stationary, so each tau stops at k = 0
         out = tmp_path / "lsp"
@@ -553,9 +568,9 @@ class TestJobs:
             assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
 
     def test_no_more_workers_than_work_units(self, tmp_path):
-        # one panel of two taus is two work units
+        # two panels of two taus each are two work units, one per panel
         out = tmp_path / "o"
-        assert main(["figure1", "--tau", "1,2", "--m-list", "4", "--l-list", "2",
+        assert main(["figure1", "--tau", "1,2", "--m-list", "1,4", "--l-list", "2",
                      "--beta-points", "3", "--jobs", "3", "--out", str(out)]) == 0
         assert json.loads((out / "run.json").read_text())["workers"] == 2
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -132,6 +133,24 @@ def test_tiny_roots_keep_their_modulus(backend, degree):
     assert got[0] == pytest.approx(np.abs(roots).max(), rel=1e-9, abs=0.0)
 
 
+def schur_as_first_written(coeffs):
+    """``schur_stable_batch`` as first written: the non-finite rows dropped
+    by a row subset, a column of ones appended, and each step's row
+    computed out of place."""
+    stable = np.isfinite(coeffs).all(axis=1)
+    rows = np.flatnonzero(stable)
+    p = np.concatenate((coeffs[rows], np.ones((rows.size, 1))), axis=1)
+    with np.errstate(all="ignore"):
+        for k in range(coeffs.shape[1], 0, -1):
+            c = p[:, 0] / p[:, k]
+            inside = np.abs(c) < 1.0
+            if not inside.all():
+                stable[rows[~inside]] = False
+                rows, p, c = rows[inside], p[inside], c[inside]
+            p = p[:, 1 : k + 1] - c[:, None] * p[:, k - 1 :: -1]
+    return stable
+
+
 class TestSchurStable:
     def test_agrees_with_root_modulus_away_from_the_circle(self):
         for degree in range(1, 7):
@@ -162,6 +181,45 @@ class TestSchurStable:
         # z^2 + 1, z - 1 and z + 1 have their roots on the circle
         assert not _kernels.schur_stable_batch(np.array([[1.0, 0.0]])).any()
         assert not _kernels.schur_stable_batch(np.array([[-1.0], [1.0]])).any()
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 7, 16])
+    def test_equals_the_recursion_as_first_written(self, degree):
+        # random rows around the circle, NaN and inf rows, all-zero rows,
+        # and rows whose lead vanishes at the first step (|p_0| = 1) or
+        # at a later one ((z^2 + 1)(z - 0.5) times z^(degree - 3)), at
+        # random places in the batch
+        rng = seeded_rng(degree)
+        rows = np.concatenate(
+            [random_batch(degree + 70, 3000, degree, scale) for scale in (0.2, 0.5, 1.0, 2.0)]
+        )
+        rows[rng.integers(len(rows), size=40), rng.integers(degree, size=40)] = np.nan
+        rows[rng.integers(len(rows), size=40), rng.integers(degree, size=40)] = -np.inf
+        rows[rng.integers(len(rows), size=40)] = 0.0
+        rows[rng.integers(len(rows), size=40), 0] = rng.choice([-1.0, 1.0], 40)
+        if degree >= 3:
+            rows[rng.integers(len(rows), size=40)] = np.pad([-0.5, 1.0, -0.5], (degree - 3, 0))
+        want = schur_as_first_written(rows)
+        assert 0 < want.sum() < len(rows)
+        assert np.array_equal(_kernels.schur_stable_batch(rows), want)
+
+    @pytest.mark.parametrize("degree", [4, 16])
+    @pytest.mark.parametrize("non_finite", [False, True])
+    def test_peak_memory_is_one_work_array(self, degree, non_finite):
+        # the (degree + 1, N) work array and a few length-N temporaries;
+        # copying the input twice, as the recursion as first written did,
+        # exceeds this
+        n = 20000
+        rows = random_batch(degree, n, degree, scale=0.5)
+        if non_finite:
+            rows[::7, 1] = np.nan
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _kernels.schur_stable_batch(rows)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (degree + 1) * n + 8 * 8 * n
 
     @pytest.mark.parametrize("degree", [0, TOL.max_poly_degree + 1])
     def test_degree_guard_matches_root_modulus(self, degree):

@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -16,8 +17,11 @@ from proxflow.spectral import (
     CompanionSpec,
     StableAlpha,
     _coeff_rows,
+    _group_max_radius,
+    _inside,
     _lambda_grid,
     _lattice_argmin,
+    _rows,
     _worst_radius,
     beta_scan,
     companion_matrix,
@@ -32,7 +36,7 @@ from conftest import random_spd, random_symmetric_with_spectrum
 
 def radius(spec, mu, lmax):
     """``spectrum_radius`` of one spec."""
-    return float(spectrum_radius([spec], mu, lmax)[0])
+    return float(spectrum_radius([spec.xi], spec.alpha, [spec.beta], spec.m, mu, lmax)[0, 0])
 
 
 def closed_form_tau1(lam, alpha, beta, m):
@@ -134,8 +138,8 @@ class TestCertifiedMaximum:
         spec = CompanionSpec(xi, beta, beta, m)
         want = every_row_maximum(alphas, lams, spec)
         assert _worst_radius(alphas[:, None], lams, spec).tobytes() == want.tobytes()
-        specs = [CompanionSpec(xi, float(a), beta, m) for a in alphas]
-        assert spectrum_radius(specs, mu, lmax).tobytes() == want.tobytes()
+        got = [spectrum_radius([xi], float(a), [beta], m, mu, lmax)[0] for a in alphas]
+        assert np.concatenate(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "m, beta, lmax",
@@ -513,11 +517,34 @@ class TestAlphaLattice:
         assert (got[1] < np.inf) == (top < 1e300)
 
 
+def panel_curves(mu, lmax, m, alpha, taus, betas):
+    """The radius curves of ``beta_scan``'s panel, one list per tau."""
+    return [[r["radius"] for r in curve] for curve in beta_scan(mu, lmax, m, alpha, taus, betas)]
+
+
+def every_row_curves(mu, lmax, m, alpha, taus, betas):
+    """Each (tau, beta)'s kernel maximum over every row of its own
+    ``_coeff_rows``, one list per tau."""
+    lams = _lambda_grid(mu, lmax)
+    return [
+        [
+            float(_kernels.max_root_modulus_batch(_coeff_rows(alpha, lams, CompanionSpec(xi, alpha, b, m))).max())
+            for b in betas
+        ]
+        for xi in (tuple(bdf_coefficients(tau)[0]) for tau in taus)
+    ]
+
+
+def hexes(curves):
+    return [[v.hex() for v in curve] for curve in curves]
+
+
 class TestBetaScan:
     def test_grid_point_matches_direct_evaluation(self):
         betas = [0.5, 1.0, 2.0]
-        rows = [r for tau in (1, 2, 3, 4) for r in beta_scan(1.0, 2.0, 4, 1.0, tau, betas)]
-        for row in rows:
+        curves = beta_scan(1.0, 2.0, 4, 1.0, (1, 2, 3, 4), betas)
+        assert [[r["tau"] for r in curve] for curve in curves] == [[t] * 3 for t in (1, 2, 3, 4)]
+        for row in (r for curve in curves for r in curve):
             xi = tuple(bdf_coefficients(row["tau"])[0])
             spec = CompanionSpec(xi, row["alpha"], row["beta"], row["m"])
             assert row["radius"] == radius(spec, 1.0, 2.0)
@@ -525,22 +552,22 @@ class TestBetaScan:
     def test_large_beta_with_large_m_tends_to_zero(self):
         # spectrum kept inside the alpha = 1 stability region so the
         # curve can reach its exact-prox limit 1/(1 + beta mu)
-        rows = beta_scan(0.5, 0.9, 200, 1.0, 1, [200.0])
-        assert rows[0]["radius"] == pytest.approx(1.0 / 101.0, abs=5e-3)
+        [[row]] = beta_scan(0.5, 0.9, 200, 1.0, [1], [200.0])
+        assert row["radius"] == pytest.approx(1.0 / 101.0, abs=5e-3)
 
     def test_unstable_small_beta_flagged(self):
-        rows = beta_scan(1.0, 10.0, 4, 1.0, 3, [0.05])
-        assert not rows[0]["stable"]
+        [[row]] = beta_scan(1.0, 10.0, 4, 1.0, [3], [0.05])
+        assert not row["stable"]
 
     def test_huge_coefficients_are_not_flagged_stable(self):
         # a^m is about 1e60 at beta = 0.001 and m = 20
-        rows = [r for tau in (3, 4) for r in beta_scan(1.0, 2.0, 20, 1.0, tau, [0.001])]
+        rows = [r for curve in beta_scan(1.0, 2.0, 20, 1.0, (3, 4), [0.001]) for r in curve]
         assert [r["stable"] for r in rows] == [0, 0]
         assert min(r["radius"] for r in rows) > 1e59
 
     def test_a_curve_makes_an_endpoint_call_and_an_uncertified_row_call(self, monkeypatch):
         # tools that wrap the module attribute, such as
-        # scripts/kernel_inputs.py, see both calls of a figure1 curve
+        # scripts/kernel_inputs.py, see both calls of each figure1 curve
         betas = np.geomspace(0.05, 50.0, 25)
         lams = _lambda_grid(1.0, 10.0)
         calls = []
@@ -551,17 +578,15 @@ class TestBetaScan:
             return kernel(coeffs, backend)
 
         monkeypatch.setattr(_kernels, "max_root_modulus_batch", recording)
-        rows = beta_scan(1.0, 10.0, 4, 1.0, 3, betas)
-        assert len(calls) == 2
-        assert calls[0] == 2 * betas.size
-        assert 0 < calls[1] < (lams.size - 2) * betas.size
-        xi = tuple(bdf_coefficients(3)[0])
-        every_row = np.concatenate([_coeff_rows(1.0, lams, CompanionSpec(xi, 1.0, b, 4)) for b in betas])
-        want = kernel(every_row).reshape(betas.size, lams.size).max(axis=1)
-        assert [r["radius"] for r in rows] == want.tolist()
+        curves = panel_curves(1.0, 10.0, 4, 1.0, (3, 4), betas)
+        assert len(calls) == 4
+        assert calls[0::2] == [2 * betas.size] * 2
+        assert all(0 < n < (lams.size - 2) * betas.size for n in calls[1::2])
+        monkeypatch.setattr(_kernels, "max_root_modulus_batch", kernel)
+        assert hexes(curves) == hexes(every_row_curves(1.0, 10.0, 4, 1.0, (3, 4), betas))
 
     def test_csv_roundtrip(self, tmp_path):
-        rows = [r for tau in (1, 2, 3) for r in beta_scan(1.0, 2.0, 4, 1.0, tau, [0.5, 5.0])]
+        rows = [r for curve in beta_scan(1.0, 2.0, 4, 1.0, (1, 2, 3), [0.5, 5.0]) for r in curve]
         path = tmp_path / "scan.csv"
         emit_table(rows, path)
         lines = path.read_text().splitlines()
@@ -570,6 +595,121 @@ class TestBetaScan:
         parsed = list(csv.DictReader(lines))
         assert [float(r["radius"]) for r in parsed] == [r["radius"] for r in rows]
         assert {r["lambda_or_range"] for r in parsed} == {"[1,2]"}
+
+    @pytest.mark.parametrize("lmax", [2.0, 10.0])
+    @pytest.mark.parametrize("m", [1, 4, 20])
+    def test_figure1_panels_equal_every_row_maxima(self, m, lmax):
+        # the figure1 panels at --tau 1,2,3,4 --beta-points 100: every
+        # base a = 1 - 1/beta - lambda is negative
+        betas = np.geomspace(0.05, 50.0, 100)
+        assert (1.0 - 1.0 / betas[:, None] - _lambda_grid(1.0, lmax) < 0).all()
+        taus = (1, 2, 3, 4)
+        want = every_row_curves(1.0, lmax, m, 1.0, taus, betas)
+        assert hexes(panel_curves(1.0, lmax, m, 1.0, taus, betas)) == hexes(want)
+
+    @given(
+        taus=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
+        m=st.integers(1, 20),
+        betas=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=6),
+        lmax=st.floats(1.0, 10.0),
+        alpha=st.one_of(st.just(1.0), st.floats(0.01, 2.0)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_random_panels_equal_every_row_maxima(self, taus, m, betas, lmax, alpha):
+        # alpha below 1 also gives positive bases
+        want = every_row_curves(1.0, lmax, m, alpha, taus, betas)
+        assert hexes(panel_curves(1.0, lmax, m, alpha, taus, betas)) == hexes(want)
+
+    @pytest.mark.parametrize(
+        "alpha, betas, m, message",
+        [
+            (-1.0, [1.0], 4, "alpha and beta must be > 0"),
+            (1.0, [1.0, 0.0], 4, "alpha and beta must be > 0"),
+            (1.0, [1.0, np.inf], 4, "must be finite, got alpha=1.0, beta=inf"),
+            (np.nan, [1.0], 4, "must be finite, got alpha=nan, beta=1.0"),
+            (1.0, [1.0], 0, "m must be >= 1, got 0"),
+        ],
+    )
+    def test_each_beta_is_checked_as_its_spec_would_be(self, alpha, betas, m, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            beta_scan(1.0, 2.0, m, alpha, (1, 3), betas)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            CompanionSpec((1.0,), alpha, betas[-1], m)
+
+
+def screen_only(monkeypatch):
+    """Make ``schur_stable_batch`` certify nothing and log its row counts,
+    so that ``_inside`` passes exactly the rows the sum test passes."""
+    sizes = []
+
+    def nothing(coeffs):
+        sizes.append(coeffs.shape[0])
+        return np.zeros(coeffs.shape[0], dtype=bool)
+
+    monkeypatch.setattr(_kernels, "schur_stable_batch", nothing)
+    return sizes
+
+
+class TestSumScreen:
+    """The Rouché sum test in front of Schur–Cohn, block by block."""
+
+    @pytest.mark.parametrize("tau", [3, 4])
+    def test_every_screened_row_is_below_its_group_maximum(self, tau, monkeypatch):
+        betas = np.geomspace(0.05, 50.0, 25)
+        lams = _lambda_grid(1.0, 10.0)
+        rows = _rows(*spectral._powers(1.0, betas[:, None], lams, 4), tuple(bdf_coefficients(tau)[0]))
+        radii = _kernels.max_root_modulus_batch(rows).reshape(betas.size, lams.size)
+        s = (1.0 - spectral._CERTIFY_MARGIN) * radii[:, [0, -1]].max(axis=1)
+        screen_only(monkeypatch)
+        screened = _inside(rows.reshape(betas.size, lams.size, tau)[:, 1:-1], s)
+        inner = radii[:, 1:-1]
+        # the screen settles most rows but not all
+        assert 0.5 * inner.size < screened.sum() < inner.size
+        assert (inner[screened] < np.broadcast_to(radii.max(axis=1)[:, None], inner.shape)[screened]).all()
+        assert (inner[screened] < np.broadcast_to(s[:, None], inner.shape)[screened]).all()
+
+    def test_sums_near_one_non_finite_rows_and_a_partial_last_block(self, monkeypatch):
+        # five groups of degree 3 over a 6-row grid, in blocks of two
+        # groups: the last block is partial. Every endpoint row is
+        # z^3 - 1, radius 1; the inner rows z^3 + c (z^2 + z + 1) have
+        # scaled sums 3c just below 1, just above 1, NaN and inf
+        size, groups = 6, 5
+        ends = _kernels.max_root_modulus_batch(np.array([[-1.0, 0.0, 0.0]]))
+        s = float((1.0 - spectral._CERTIFY_MARGIN) * ends[0])
+        scale = s ** np.arange(3, 0, -1)
+        rows = np.zeros((groups, size, 3))
+        rows[:, [0, -1]] = [-1.0, 0.0, 0.0]
+        below, above = (1.0 - 1e-9) / 3.0, (1.0 + 1e-9) / 3.0
+        rows[:, 1:-1] = np.array([below, above, below, above])[:, None]
+        rows[1, 1] = [np.nan, 0.0, 0.0]  # in place of a row below 1
+        rows[3, 4] = [0.0, np.inf, 0.0]  # in place of a row above 1
+        rows[:, 1:-1] *= scale
+        rows = rows.reshape(-1, 3)
+        sent = []
+        schur = _kernels.schur_stable_batch
+
+        def logging(coeffs):
+            sent.append(coeffs.copy())
+            return schur(coeffs)
+
+        monkeypatch.setattr(_kernels, "schur_stable_batch", logging)
+        monkeypatch.setattr(spectral, "_BLOCK_ROWS", 2 * (size - 2))
+        got = _group_max_radius(rows, size)
+        want = _kernels.max_root_modulus_batch(rows).reshape(groups, size).max(axis=1)
+        assert got.tobytes() == want.tobytes()
+        assert got[[1, 3]].tolist() == [np.inf, np.inf]
+        # a block of two, two and one group; only the rows above 1, NaN
+        # and inf reach Schur–Cohn
+        assert [len(c) for c in sent] == [5, 4, 2]
+        sums = np.abs(np.concatenate(sent)).sum(axis=1)
+        assert not (sums < 1.0).any()
+        assert np.isnan(sums).sum() == 1 and np.isinf(sums).sum() == 1
+        monkeypatch.setattr(_kernels, "schur_stable_batch", schur)
+        # the rows below 1 are certified by the sum alone
+        sizes = screen_only(monkeypatch)
+        screened = _inside(rows.reshape(groups, size, 3)[:, 1:-1], np.full(groups, s))
+        assert screened.sum() == 2 * groups - 1
+        assert sizes == [2 * groups + 1]
 
 
 class TestCompanionConsistency:
