@@ -5,14 +5,17 @@
         with ``--jobs 1``, so that every kernel call happens in this
         process, and writes each command's calls to DIR/<command>.npz.
         Prints, per command and degree, the kernel calls, rows and rows
-        per call. From degree 3 on, a call over several lambda grids is
-        recorded as the two calls that ``spectral._group_max_radius``
+        per call. From degree 3 on, a call over one or more lambda grids
+        is recorded as the two calls that ``spectral._group_max_radius``
         makes: the grids' endpoint rows, then the inner rows that the
         certificate does not rule out. Prints the same counts for
         ``_kernels.schur_stable_batch``, the Schur–Cohn test of
         ``max_stable_alpha`` and of that certificate; the certificate
         sends it only the inner rows that its sum test leaves, a block of
-        groups at a time. Its rows are not saved.
+        groups at a time. Its rows are not saved. Prints, too, the calls
+        and rows of the numpy kernel's row-by-row path: the batches of at
+        most ``_fallback._ROW_PATH_ROWS`` rows that reach its iteration
+        (none when the native kernel is built).
     PYTHONPATH=src python3 scripts/kernel_inputs.py replay DIR [--backend B] [--save FILE]
         Calls the kernel again on every recorded call, in the recorded
         order and batches, and prints the time per command. ``--save``
@@ -36,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from proxflow import _kernels, cli
+from proxflow._kernels import _fallback
 
 COMMANDS = {
     "tables": ["tables"],
@@ -46,8 +50,9 @@ COMMANDS = {
 def record(out):
     out.mkdir(parents=True, exist_ok=True)
     kernel, schur = _kernels.max_root_modulus_batch, _kernels.schur_stable_batch
+    durand_kerner = _fallback._durand_kerner
     for name, argv in COMMANDS.items():
-        calls, schur_sizes = [], []
+        calls, schur_sizes, row_path = [], [], []
 
         def recording(coeffs, backend=None):
             calls.append(np.array(coeffs, dtype=float))
@@ -57,20 +62,30 @@ def record(out):
             schur_sizes.append(np.shape(coeffs))
             return schur(coeffs)
 
+        def iterating(coeffs, rows, out):
+            if rows.size <= _fallback._ROW_PATH_ROWS:
+                row_path.append((rows.size, coeffs.shape[1]))
+            return durand_kerner(coeffs, rows, out)
+
         _kernels.max_root_modulus_batch = recording
         _kernels.schur_stable_batch = counting
+        _fallback._durand_kerner = iterating
         try:
             with tempfile.TemporaryDirectory() as tmp:
                 cli.main([*argv, "--jobs", "1", "--out", tmp])
         finally:
             _kernels.max_root_modulus_batch = kernel
             _kernels.schur_stable_batch = schur
+            _fallback._durand_kerner = durand_kerner
         np.savez(out / f"{name}.npz", **{f"call{i:05d}": c for i, c in enumerate(calls)})
         summarize(name, [c.shape for c in calls])
         summarize(f"{name} schur_stable_batch", schur_sizes)
+        summarize(f"{name} row path", row_path)
 
 
 def summarize(name, shapes):
+    if not shapes:
+        print(f"{name}: no calls")
     per_degree = defaultdict(list)
     for rows, degree in shapes:
         per_degree[degree].append(rows)

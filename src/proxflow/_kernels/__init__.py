@@ -1,13 +1,15 @@
 """Root-modulus kernels with a compiled core and a numpy fallback.
 
 The native extension, compiled from the hand-written ``_native.c``, is
-preferred when it was built. The numpy fallback is its twin: the same
-Durand–Kerner iteration in the same real arithmetic and operation order,
-vectorized over rows, so the two give the same bits, and a row's radius
-depends neither on the other rows of its batch nor on numpy's SIMD
-dispatch for the CPU. A caller picks a backend per call with
-``backend=``. ``schur_stable_batch`` answers the stability question
-alone, without roots, and has one numpy implementation for both.
+preferred when it was built. The fallback runs the same Durand–Kerner
+iteration in the same real arithmetic and operation order: row by row in
+Python floats for a batch of at most ``_fallback._ROW_PATH_ROWS`` rows,
+vectorized over rows with numpy for a larger one. So the backends and
+the two paths give the same bits, and a row's radius depends neither on
+the other rows of its batch nor on numpy's SIMD dispatch for the CPU. A
+caller picks a backend per call with ``backend=``.
+``schur_stable_batch`` answers the stability question alone, without
+roots, and has one numpy implementation for both.
 """
 
 import numpy as np

@@ -1,17 +1,21 @@
-"""Vectorized numpy twin of the native root-modulus kernel.
+"""The root-modulus kernel in Python and numpy, with the native kernel's bits.
 
 Polynomials are monic and real: p(z) = z^d + q[d-1] z^(d-1) + ... + q[0].
 A batch is a (N, d) float array whose rows hold [q_0, ..., q_{d-1}].
 
 Degrees 1 and 2 have closed forms. From degree 3 on, every row runs the
 Durand–Kerner iteration (Kerner, 1966) of ``_native.c``'s
-``row_radius``, vectorized over chunks of rows: real arithmetic in the C
-code's operation order, roots updated one after another (Gauss–Seidel),
-and a stop per row, after which the row leaves its chunk. The start
-values come from libm's cos and sin, and every later operation is an
-IEEE basic operation, so a row's radius has the bits of the compiled
-kernel and depends neither on the other rows of its batch nor on numpy's
-SIMD dispatch for the CPU.
+``row_radius``: real arithmetic in the C code's operation order, roots
+updated one after another (Gauss–Seidel), and a stop per row. A batch of
+at most ``_ROW_PATH_ROWS`` rows runs row by row in Python floats
+(``_row_radius``); a larger one runs vectorized over chunks of rows, and
+a row leaves its chunk when it stops. A vectorized sweep makes about a
+hundred numpy calls whatever its row count, so for a few rows the Python
+loop is faster. The start values come from libm's cos and sin, and every
+later operation is an IEEE basic operation on both paths, so a row's
+radius has the bits of the compiled kernel and depends neither on the
+path, nor on the other rows of its batch, nor on numpy's SIMD dispatch
+for the CPU.
 """
 
 import math
@@ -22,6 +26,10 @@ MAX_DEGREE = 16  # the native kernel compiles in the same limit
 _MAX_ITER = 120
 _TOL = 1e-13
 _CHUNK = 4096  # rows iterated at once; a chunk ends when its last row stops
+# batches of at most this many rows run row by row: on recorded rows, the
+# vectorized path is faster from about 20 rows on at degree 3, and from
+# about 50 at degree 4
+_ROW_PATH_ROWS = 16
 
 
 def _quadratic_max_modulus(q0, q1):
@@ -44,10 +52,7 @@ def _start_directions(d):
     need not round as libm does.
     """
     angles = [6.283185307179586 * j / d + 0.4 for j in range(d)]
-    return (
-        np.array([math.cos(a) for a in angles])[:, None],
-        np.array([math.sin(a) for a in angles])[:, None],
-    )
+    return [math.cos(a) for a in angles], [math.sin(a) for a in angles]
 
 
 def _mul(ar, ai, br, bi, out_r, out_i, tmp):
@@ -136,14 +141,71 @@ def _work_arrays(d, m):
     return np.empty((7, d, m)), np.empty((6, m))
 
 
+def _row_radius(q, r0, cos0, sin0):
+    """The radius of one row, ``_native.c``'s ``row_radius`` in Python floats.
+
+    ``q`` holds the row's coefficients and ``r0`` its start radius, both as
+    ``_durand_kerner`` computes them; ``cos0`` and ``sin0`` come from
+    ``_start_directions``. Every operation is the vectorized ``_sweep``'s,
+    in its order, so the two paths give the same bits.
+    """
+    d = len(q)
+    zr = [r0 * c for c in cos0]
+    zi = [r0 * s for s in sin0]
+    others = [[k for k in range(d) if k != j] for j in range(d)]
+    for _ in range(_MAX_ITER):
+        step = zmax = 0.0
+        for j in range(d):
+            xr, xi = zr[j], zi[j]
+            # Horner from 1 + 0i, the first product as _mul_one computes it
+            pr = (xr - xi * 0.0) + q[d - 1]
+            pi = xi + xr * 0.0
+            for i in range(d - 2, -1, -1):
+                pr, pi = pr * xr - pi * xi + q[i], pr * xi + pi * xr
+            first, *rest = others[j]
+            ar, ai = xr - zr[first], xi - zi[first]
+            dr, di = ar - ai * 0.0, ai + ar * 0.0
+            for k in rest:
+                ar, ai = xr - zr[k], xi - zi[k]
+                dr, di = dr * ar - di * ai, dr * ai + di * ar
+            den = dr * dr + di * di
+            # Python's / raises on a zero divisor; this makes it unreachable
+            if den == 0.0:
+                den, dr, di = 1e-300, 1e-150, 0.0
+            wr = (pr * dr + pi * di) / den
+            wi = (pi * dr - pr * di) / den
+            xr -= wr
+            xi -= wi
+            zr[j], zi[j] = xr, xi
+            # `>` passes over a NaN, as np.fmax does
+            w2 = wr * wr + wi * wi
+            if w2 > step:
+                step = w2
+            z2 = xr * xr + xi * xi
+            if z2 > zmax:
+                zmax = z2
+        radius = math.sqrt(zmax)
+        if math.sqrt(step) <= _TOL * (1.0 + radius):
+            break
+    return radius
+
+
 def _durand_kerner(coeffs, rows, out):
     """Write the radius of each of ``rows`` (degree >= 3) into ``out``.
 
-    Runs ``_CHUNK`` rows at a time. A row leaves its chunk once it stops:
-    when its step falls below the tolerance, or after ``_MAX_ITER`` sweeps.
+    At most ``_ROW_PATH_ROWS`` rows run one by one through ``_row_radius``.
+    More run ``_CHUNK`` rows at a time, and a row leaves its chunk once it
+    stops: when its step falls below the tolerance, or after ``_MAX_ITER``
+    sweeps.
     """
     d = coeffs.shape[1]
-    cos0, sin0 = _start_directions(d)
+    directions = _start_directions(d)
+    if rows.size <= _ROW_PATH_ROWS:
+        q = coeffs[rows]
+        r0 = 1.0 + np.abs(q).max(axis=1)  # as below, so NaN for a NaN row
+        out[rows] = [_row_radius(*row, *directions) for row in zip(q.tolist(), r0.tolist())]
+        return
+    cos0, sin0 = (np.array(v)[:, None] for v in directions)
     for first in range(0, rows.size, _CHUNK):
         chunk = rows[first : first + _CHUNK]
         q = coeffs[chunk].T.copy()

@@ -157,11 +157,14 @@ def _group_max_radius(rows, size):
     rows it leaves go to the kernel, in one more call. A row's radius does
     not depend on its batch, so every maximum has the bits of the kernel
     on all rows. A group whose endpoint radius is 0, inf or NaN certifies
-    nothing. Degrees 1 and 2 (closed forms), one-point grids and a single
-    group take one kernel call on all rows.
+    nothing. A single group, such as a golden-section probe of
+    ``optimal_rate``, is certified too: its two kernel calls mostly hold
+    few enough rows for the numpy kernel's row-by-row path. Degrees 1 and
+    2 (closed forms) and grids of fewer than 3 points take one kernel
+    call on all rows.
     """
-    n, d = rows.shape
-    if d <= 2 or size < 3 or n == size:
+    d = rows.shape[1]
+    if d <= 2 or size < 3:
         return _kernels.max_root_modulus_batch(rows).reshape(-1, size).max(axis=1)
     groups = rows.reshape(-1, size, d)
     radii = np.full(groups.shape[:2], -np.inf)  # a certified row stays below
@@ -207,7 +210,8 @@ def spectrum_radius(xis, alpha, betas, m, mu, lmax):
     """Worst-case radius over eigenvalues in [mu, L] of each weight vector
     of ``xis`` at each beta of ``betas``, as a (len(xis), len(betas)) array.
 
-    Each (xi, beta) pair is checked as its ``CompanionSpec`` would be.
+    Each (xi, beta) pair is checked as its ``CompanionSpec`` would be,
+    though only the specs of the first xi and of the first beta are built.
     ``a**m`` and b do not depend on xi, so they are computed once, with
     beta as a column, and only the coefficient rows are built per xi.
     This matters for ``figure1``: at alpha = 1 every base
@@ -219,9 +223,12 @@ def spectrum_radius(xis, alpha, betas, m, mu, lmax):
     because the kernel's result for a row does not depend on the other
     rows of its batch.
     """
-    for xi in xis:
-        for beta in betas:
-            CompanionSpec(xi, alpha, beta, m)  # the checks of one (xi, beta) pair
+    # a check fails on xi or on beta, never on their pairing, so the first
+    # row and the first column of the (xi, beta) grid fail at the first
+    # pair, with its message, that the row-major loop over them would
+    for i, xi in enumerate(xis):
+        for beta in betas if i == 0 else betas[:1]:
+            CompanionSpec(xi, alpha, beta, m)
     lams = _lambda_grid(mu, lmax)
     am, b = _powers(alpha, np.asarray(betas, dtype=float)[:, None], lams, m)
     return np.array([_group_max_radius(_rows(am, b, xi), lams.size) for xi in xis])

@@ -237,17 +237,18 @@ class TestBatchIndependence:
             lambda d: st.lists(st.floats(-8.0, 8.0, width=64), min_size=d, max_size=d)
         ),
         seed=st.integers(0, 2**32 - 1),
-        chunk=st.sampled_from([1, 2, 4]),
+        chunk=st.sampled_from([4, 8, 16]),
     )
     def test_radius_has_the_same_bytes_in_any_batch(self, row, seed, chunk):
-        # alone, at a random place in a random batch, and past the first
-        # ``chunk`` rows, which run as an earlier chunk
+        # alone, on the row path, and in a batch too large for it: at a
+        # random place and past the first ``chunk`` rows, which run as an
+        # earlier chunk of the vectorized path
         row = np.array(row)
         rng = seeded_rng(seed)
-        others = rng.uniform(-3.0, 3.0, (chunk + 1, row.size))
+        others = rng.uniform(-3.0, 3.0, (_fallback._ROW_PATH_ROWS + 1, row.size))
         alone = _kernels.max_root_modulus_batch(row[None, :], backend="fallback")
         with mock.patch.object(_fallback, "_CHUNK", chunk):
-            for at in (int(rng.integers(chunk + 2)), chunk + 1):
+            for at in (int(rng.integers(others.shape[0] + 1)), chunk + 1):
                 batch = np.insert(others, at, row, axis=0)
                 got = _kernels.max_root_modulus_batch(batch, backend="fallback")
                 assert got[at : at + 1].tobytes() == alone.tobytes()
@@ -297,6 +298,82 @@ def _repeated_root_rows():
         batch[[0, -1]] = np.poly(np.full(multiplicity, root))[:0:-1]
         batches.append(batch)
     return batches
+
+
+def both_paths(rows, kernel=None):
+    """``kernel``'s radii of ``rows`` with every fallback batch on the row
+    path, then with every one on the vectorized path."""
+    kernel = kernel or (lambda c: _kernels.max_root_modulus_batch(c, backend="fallback"))
+    with mock.patch.object(_fallback, "_ROW_PATH_ROWS", rows.shape[0]):
+        row_path = kernel(rows)
+    with mock.patch.object(_fallback, "_ROW_PATH_ROWS", 0):
+        vectorized = kernel(rows)
+    return row_path, vectorized
+
+
+def _special_rows():
+    """Rows near double roots, repeated roots that stop at the sweep cap,
+    and huge and tiny rows, which ``_kernels`` scales, per degree."""
+    rows = [r[::37] for r in _stability_rows()]
+    rows += [batch[:1] for batch in _repeated_root_rows()]
+    rows += [random_batch(d + 200, 8, d, scale=1e300) for d in (3, 5, 16)]
+    rows += [random_batch(d + 300, 8, d, scale=1e-60) for d in (3, 5, 16)]
+    return rows
+
+
+class TestRowPath:
+    """The row-by-row path has the bytes of the vectorized one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(3, 16).flatmap(
+            lambda d: st.lists(
+                st.lists(st.floats(-8.0, 8.0, width=64), min_size=d, max_size=d),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        special=st.sampled_from(_special_rows()),
+        picks=st.lists(st.integers(0, 2**16), max_size=4),
+    )
+    def test_equals_the_vectorized_path(self, rows, special, picks):
+        # random rows, and some rows of one degree of the special kinds
+        for batch in (np.array(rows), special[[p % len(special) for p in picks]]):
+            row_path, vectorized = both_paths(batch)
+            assert row_path.tobytes() == vectorized.tobytes()
+
+    def test_special_rows_equal_the_vectorized_path(self):
+        for rows in _special_rows():
+            row_path, vectorized = both_paths(rows)
+            assert row_path.tobytes() == vectorized.tobytes()
+        for (*_, radius), batch in zip(REPEATED_ROOTS, _repeated_root_rows()):
+            row_path, _ = both_paths(batch[:1])
+            assert row_path == pytest.approx([radius], rel=0, abs=5e-9)
+
+    def test_batches_up_to_the_threshold_take_the_row_path(self):
+        # zero rows never reach the iteration, so they do not count
+        rows = random_batch(7, _fallback._ROW_PATH_ROWS + 2, 3)
+        rows[0] = 0.0
+        with mock.patch.object(_fallback, "_row_radius", wraps=_fallback._row_radius) as spy:
+            _fallback.max_root_modulus_batch(rows[1:])
+            assert spy.call_count == 0
+            _fallback.max_root_modulus_batch(rows[:-1])
+            assert spy.call_count == _fallback._ROW_PATH_ROWS
+
+    @pytest.mark.parametrize("degree", [3, 4, 16])
+    def test_non_finite_rows_on_both_sides_of_the_threshold(self, degree):
+        # straight to the fallback, which ``_kernels`` never sends such a
+        # row: both paths give it the radius 0
+        rows = random_batch(degree + 500, 2 * _fallback._ROW_PATH_ROWS, degree)
+        bad = [np.nan, np.inf, -np.inf]
+        for i in range(0, rows.shape[0], 2):
+            rows[i, i % degree] = bad[i % 3]
+            rows[i, (3 * i + 1) % degree] = bad[(i + 1) % 3]
+        small = _fallback.max_root_modulus_batch(rows[: _fallback._ROW_PATH_ROWS])
+        large = _fallback.max_root_modulus_batch(rows)
+        assert small.tobytes() == large[: small.size].tobytes()
+        assert not large[::2].any()
+        assert large.tobytes() == both_paths(rows, _fallback.max_root_modulus_batch)[0].tobytes()
 
 
 @pytest.mark.usefixtures("native")

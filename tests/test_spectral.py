@@ -389,6 +389,78 @@ class TestOptimalRate:
             assert got.rho <= other + 1e-9
 
 
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """A log of the row count of every root-modulus kernel call."""
+    sizes = []
+    kernel = _kernels.max_root_modulus_batch
+
+    def recording(coeffs, backend=None):
+        sizes.append(coeffs.shape[0])
+        return kernel(coeffs, backend)
+
+    monkeypatch.setattr(_kernels, "max_root_modulus_batch", recording)
+    return sizes
+
+
+class TestSingleGridCertificate:
+    """One alpha's worst radius over one grid, as a golden-section probe
+    asks for it, is certified too and keeps the bits of every row's."""
+
+    @pytest.mark.parametrize("tau", [3, 4])
+    def test_a_probe_makes_an_endpoint_call_and_an_uncertified_row_call(self, tau, kernel_rows):
+        # the reported alpha of a table-3 cell, where an inner row exceeds
+        # both endpoints at tau 3
+        xi = tuple(bdf_coefficients(tau)[0])
+        alpha = optimal_rate(1.0, 2.0, 10.0, 20, xi).alpha
+        lams = _lambda_grid(1.0, 2.0)
+        spec = CompanionSpec(xi, alpha, 10.0, 20)
+        kernel_rows.clear()
+        got = _worst_radius(alpha, lams, spec)
+        assert len(kernel_rows) == 2 and kernel_rows[0] == 2
+        assert 0 < kernel_rows[1] <= _kernels._fallback._ROW_PATH_ROWS
+        assert got.hex() == float(every_row_maximum(np.array([alpha]), lams, spec)[0]).hex()
+
+    def test_table_cells_golden_probes_equal_the_every_row_maximum(self, monkeypatch):
+        # every one-alpha call of optimal_rate on the 24 table-3 cells: 42
+        # golden-section probes and the fine pass's w0 per cell, and a fine
+        # pass that keeps a single alpha
+        worst_radius = spectral._worst_radius
+        probes = []
+
+        def checked(alpha, lams, spec):
+            got = worst_radius(alpha, lams, spec)
+            if np.size(alpha) == 1:
+                want = every_row_maximum(np.ravel(alpha), lams, spec)
+                assert np.array(got, ndmin=1).tobytes() == want.tobytes()
+                probes.append(spec.tau)
+            return got
+
+        monkeypatch.setattr(spectral, "_worst_radius", checked)
+        for tau, m, beta, lmax in TABLE_CELLS:
+            optimal_rate(1.0, lmax, beta, m, tuple(bdf_coefficients(tau)[0]))
+        assert probes.count(3) >= 8 * 43
+
+    @given(
+        tau=st.integers(3, 4),
+        m=st.integers(1, 20),
+        beta=st.floats(0.1, 10.0),
+        lmax=st.floats(1.0, 10.0),
+        fraction=st.floats(1e-3, 1.5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_cells_equal_the_every_row_maximum(self, tau, m, beta, lmax, fraction):
+        # alpha a fraction of the cell's max stable alpha, past it too
+        xi = tuple(bdf_coefficients(tau)[0])
+        bound = max_stable_alpha(1.0, lmax, beta, m, xi)
+        assume(bound.stable)
+        alpha = fraction * bound.alpha
+        lams = _lambda_grid(1.0, lmax)
+        spec = CompanionSpec(xi, alpha, beta, m)
+        want = every_row_maximum(np.array([alpha]), lams, spec)
+        assert _worst_radius(alpha, lams, spec).hex() == float(want[0]).hex()
+
+
 def every_alpha_fine_pass(alphas, lams, spec):
     """``_lattice_argmin`` with its fine pass as first written: the worst
     radius of every fine alpha, from all its grid rows."""
@@ -635,6 +707,48 @@ class TestBetaScan:
             beta_scan(1.0, 2.0, m, alpha, (1, 3), betas)
         with pytest.raises(ValidationError, match=re.escape(message)):
             CompanionSpec((1.0,), alpha, betas[-1], m)
+
+    @pytest.mark.parametrize(
+        "xi_fault, bad_xi, bad_beta",
+        [
+            ("nan", 2, None),
+            ("too-long", 1, None),
+            (None, None, 3),
+            ("nan", 2, 3),
+            ("too-long", 2, 3),
+            ("nan", 0, 3),
+            ("too-long", 2, 0),
+            (None, None, None),
+        ],
+    )
+    def test_a_grid_fails_at_the_first_bad_pair_of_the_row_major_loop(
+        self, xi_fault, bad_xi, bad_beta, monkeypatch
+    ):
+        # a bad xi, a bad beta, both, and neither
+        xis = [tuple(bdf_coefficients(tau)[0]) for tau in (1, 2, 3, 4)]
+        if bad_xi is not None:
+            xis[bad_xi] = (0.5, np.nan, 0.5) if xi_fault == "nan" else (0.05,) * 20
+        betas = [0.5, 1.0, 2.0, 4.0, 8.0]
+        if bad_beta is not None:
+            betas[bad_beta] = -1.0
+        try:
+            for xi in xis:
+                for beta in betas:
+                    CompanionSpec(xi, 1.0, beta, 4)
+            want = None
+        except ValidationError as exc:
+            want = str(exc)
+        built = []
+        monkeypatch.setattr(spectral, "CompanionSpec", lambda *a: built.append(CompanionSpec(*a)))
+        if want is None:
+            spectrum_radius(xis, 1.0, betas, 4, 1.0, 2.0)
+        else:
+            with pytest.raises(ValidationError, match=re.escape(want)):
+                spectrum_radius(xis, 1.0, betas, 4, 1.0, 2.0)
+        # the first xi with every beta, then every other xi with the first beta
+        assert len(built) <= len(betas) + len(xis) - 1
+        if want is None:
+            assert len(built) == len(betas) + len(xis) - 1
 
 
 def screen_only(monkeypatch):
