@@ -13,14 +13,13 @@
         ``max_stable_alpha`` and of that certificate; the certificate
         sends it only the inner rows that its sum test leaves, a block of
         groups at a time. Its rows are not saved. Prints, too, the calls
-        and rows of the numpy kernel's row-by-row path: the batches of at
-        most ``_fallback._ROW_PATH_ROWS`` rows that reach its iteration
-        (none when the native kernel is built).
-    PYTHONPATH=src python3 scripts/kernel_inputs.py replay DIR [--backend B] [--save FILE]
+        and rows of the kernel's row-by-row path: the batches of at most
+        ``_fallback._ROW_PATH_ROWS`` rows that reach its iteration.
+    PYTHONPATH=src python3 scripts/kernel_inputs.py replay DIR [--save FILE]
         Calls the kernel again on every recorded call, in the recorded
         order and batches, and prints the time per command. ``--save``
         writes the radii, one array per command, for a bitwise comparison
-        with another backend or version.
+        with another version.
     PYTHONPATH=src python3 scripts/kernel_inputs.py compare OLD NEW
         Compares two recordings, command by command: equal call by call
         (the same calls in the same order, bit for bit), else equal as a
@@ -54,9 +53,9 @@ def record(out):
     for name, argv in COMMANDS.items():
         calls, schur_sizes, row_path = [], [], []
 
-        def recording(coeffs, backend=None):
+        def recording(coeffs):
             calls.append(np.array(coeffs, dtype=float))
-            return kernel(coeffs, backend)
+            return kernel(coeffs)
 
         def counting(coeffs):
             schur_sizes.append(np.shape(coeffs))
@@ -101,12 +100,12 @@ def load(path):
         return [data[key] for key in sorted(data.files)]
 
 
-def replay(directory, backend, save):
+def replay(directory, save):
     radii = {}
     for name in COMMANDS:
         calls = load(directory / f"{name}.npz")
         start = time.perf_counter()
-        got = [_kernels.max_root_modulus_batch(c, backend=backend) for c in calls]
+        got = [_kernels.max_root_modulus_batch(c) for c in calls]
         elapsed = time.perf_counter() - start
         radii[name] = np.concatenate(got)
         print(f"{name}: {len(calls)} calls, {radii[name].size} rows, {elapsed:.3f} s")
@@ -155,7 +154,6 @@ def main(argv=None):
     rec.add_argument("dir", type=Path)
     rep = sub.add_parser("replay")
     rep.add_argument("dir", type=Path)
-    rep.add_argument("--backend", choices=["native", "fallback"])
     rep.add_argument("--save", type=Path)
     cmp = sub.add_parser("compare")
     cmp.add_argument("old", type=Path)
@@ -164,7 +162,7 @@ def main(argv=None):
     if args.action == "record":
         record(args.dir)
     elif args.action == "replay":
-        replay(args.dir, args.backend, args.save)
+        replay(args.dir, args.save)
     else:
         return 0 if compare(args.old, args.new) else 1
     return 0

@@ -1,42 +1,32 @@
-"""Root-modulus kernels with a compiled core and a numpy fallback.
+"""Root-modulus kernels: the largest root modulus and the stability test.
 
-The native extension, compiled from the hand-written ``_native.c``, is
-preferred when it was built. The fallback runs the same Durand–Kerner
-iteration in the same real arithmetic and operation order: row by row in
-Python floats for a batch of at most ``_fallback._ROW_PATH_ROWS`` rows,
-vectorized over rows with numpy for a larger one. So the backends and
-the two paths give the same bits, and a row's radius depends neither on
-the other rows of its batch nor on numpy's SIMD dispatch for the CPU. A
-caller picks a backend per call with ``backend=``.
-``schur_stable_batch`` answers the stability question alone, without
-roots, and has one numpy implementation for both.
+``max_root_modulus_batch`` screens its rows and hands them to the one
+Durand–Kerner kernel, ``_fallback``. The kernel runs one operation order
+on its two paths: row by row in Python floats for a batch of at most
+``_fallback._ROW_PATH_ROWS`` rows, vectorized over rows with numpy for a
+larger one. Its start directions come from libm's cos and sin, and every
+later operation is an IEEE basic operation, so the two paths give the
+same bits, and a row's radius depends neither on the other rows of its
+batch nor on numpy's SIMD dispatch for the CPU. ``schur_stable_batch``
+answers the stability question alone, without roots.
 """
 
 import numpy as np
 
 from . import _fallback
 
-try:  # pragma: no cover - depends on whether the extension was built
-    from . import _native
-
-    HAVE_NATIVE = True
-except ImportError:  # pragma: no cover
-    _native = None
-    HAVE_NATIVE = False
-
-MAX_DEGREE = _fallback.MAX_DEGREE
+# The highest degree at which the tests check the kernel (huge and tiny
+# rows, and the bits of both paths, up to 16); above it the iteration's
+# accuracy is unverified. The paper's BDF orders need degree 4 at most.
+MAX_DEGREE = 16
 _TINY = 2.0**-10  # root bound below which a row is solved scaled
+# kept, with backend_name() and backend=, for the benchmark harness
+# (perfbench/child.py), which reads them
+HAVE_NATIVE = False
 
 
 def backend_name():
-    return "native" if HAVE_NATIVE else "fallback"
-
-
-def _native_radius(coeffs):
-    """The native kernel's radii of the C-contiguous float rows ``coeffs``."""
-    out = np.empty(coeffs.shape[0])
-    _native.max_root_modulus_batch(coeffs, out)
-    return out
+    return "fallback"
 
 
 def _degree(coeffs):
@@ -52,8 +42,8 @@ def _root_bound(coeffs):
     return (np.abs(coeffs) ** (1.0 / powers)).max(axis=1)
 
 
-def _scaled_radius(kernel, coeffs):
-    """``kernel``'s radii of rows with huge or tiny roots, at scale 1.
+def _scaled_radius(coeffs):
+    """The radii of rows with huge or tiny roots, solved at scale 1.
 
     Each row is solved for y = z / s, with s = 2^k the power of two at or
     above its root bound: the coefficients of y are q_i / s^(d-i), at most
@@ -62,14 +52,15 @@ def _scaled_radius(kernel, coeffs):
     """
     powers = np.arange(coeffs.shape[1], 0, -1)
     k = np.ceil(np.log2(_root_bound(coeffs))).astype(int)
-    return np.ldexp(kernel(np.ldexp(coeffs, -k[:, None] * powers)), k)
+    scaled = np.ldexp(coeffs, -k[:, None] * powers)
+    return np.ldexp(_fallback.max_root_modulus_batch(scaled), k)
 
 
-def max_root_modulus_batch(coeffs, backend=None):
+def max_root_modulus_batch(coeffs, backend="fallback"):
     """Max root modulus per row of (N, d) ascending monic coefficients.
 
     A row with a NaN or infinite coefficient gets the radius ``inf``, and
-    only the finite rows reach the backend. A row with a coefficient of
+    only the finite rows reach the kernel. A row with a coefficient of
     modulus 2^(960/(2d-1)) or more (about 1e58 at degree 3, 2e9 at degree
     16) reaches it scaled by ``_scaled_radius``: the iteration multiplies
     up to 2d - 1 numbers of the start radius's size, which would overflow
@@ -77,21 +68,13 @@ def max_root_modulus_batch(coeffs, backend=None):
     degree 3 on, so does a nonzero row whose root bound is below
     ``_TINY``: the iteration stops once its corrections are below about
     1e-13 in absolute terms, so roots near 1e-20 would all come out near
-    1e-13. Both backends share these rules. Raises ValueError for a
-    degree outside 1..``MAX_DEGREE``. ``backend`` may be "native" or
-    "fallback" to bypass the default selection; requesting "native"
-    without the extension is an error.
+    1e-13. Raises ValueError for a degree outside 1..``MAX_DEGREE``, and
+    for a ``backend`` other than "fallback", the one kernel's name.
     """
+    if backend != "fallback":
+        raise ValueError(f"backend must be 'fallback', got {backend!r}")
     coeffs = np.ascontiguousarray(coeffs, dtype=float)
     d = _degree(coeffs)
-    if backend is None:
-        backend = backend_name()
-    if backend == "native":
-        if not HAVE_NATIVE:
-            raise RuntimeError("native kernel requested but not built")
-        kernel = _native_radius
-    else:
-        kernel = _fallback.max_root_modulus_batch
     tiny = np.empty(0, dtype=int)
     if d >= 3:
         # a root bound below _TINY needs |q_(d-1)| below it
@@ -101,14 +84,14 @@ def max_root_modulus_batch(coeffs, backend=None):
     limit = 2.0 ** (960 / (2 * d - 1))
     # false for a NaN anywhere, as for an inf or huge coefficient
     if not tiny.size and -limit < coeffs.min(initial=0.0) and coeffs.max(initial=0.0) < limit:
-        return kernel(coeffs)
+        return _fallback.max_root_modulus_batch(coeffs)
     finite = np.isfinite(coeffs).all(axis=1)
     scaled = finite & (np.abs(coeffs).max(axis=1) >= limit)
     scaled[tiny] = True
     plain = finite & ~scaled
     out = np.full(coeffs.shape[0], np.inf)
-    out[plain] = kernel(coeffs[plain])
-    out[scaled] = _scaled_radius(kernel, coeffs[scaled])
+    out[plain] = _fallback.max_root_modulus_batch(coeffs[plain])
+    out[scaled] = _scaled_radius(coeffs[scaled])
     return out
 
 

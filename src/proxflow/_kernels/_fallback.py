@@ -1,28 +1,26 @@
-"""The root-modulus kernel in Python and numpy, with the native kernel's bits.
+"""The root-modulus kernel, in Python floats and in numpy.
 
 Polynomials are monic and real: p(z) = z^d + q[d-1] z^(d-1) + ... + q[0].
 A batch is a (N, d) float array whose rows hold [q_0, ..., q_{d-1}].
 
 Degrees 1 and 2 have closed forms. From degree 3 on, every row runs the
-Durand–Kerner iteration (Kerner, 1966) of ``_native.c``'s
-``row_radius``: real arithmetic in the C code's operation order, roots
-updated one after another (Gauss–Seidel), and a stop per row. A batch of
-at most ``_ROW_PATH_ROWS`` rows runs row by row in Python floats
-(``_row_radius``); a larger one runs vectorized over chunks of rows, and
-a row leaves its chunk when it stops. A vectorized sweep makes about a
-hundred numpy calls whatever its row count, so for a few rows the Python
-loop is faster. The start values come from libm's cos and sin, and every
-later operation is an IEEE basic operation on both paths, so a row's
-radius has the bits of the compiled kernel and depends neither on the
-path, nor on the other rows of its batch, nor on numpy's SIMD dispatch
-for the CPU.
+Durand–Kerner iteration (Kerner, 1966) in real arithmetic: roots updated
+one after another (Gauss–Seidel), and a stop per row. A batch of at most
+``_ROW_PATH_ROWS`` rows runs row by row in Python floats
+(``_row_radius``); a larger one runs vectorized over chunks of rows
+(``_sweep``), and a row leaves its chunk when it stops. A vectorized
+sweep makes about a hundred numpy calls whatever its row count, so for a
+few rows the Python loop is faster. Both paths make one operation order.
+The start directions come from libm's cos and sin, and every later
+operation is an IEEE basic operation, so a row's radius depends neither
+on the path, nor on the other rows of its batch, nor on numpy's SIMD
+dispatch for the CPU.
 """
 
 import math
 
 import numpy as np
 
-MAX_DEGREE = 16  # the native kernel compiles in the same limit
 _MAX_ITER = 120
 _TOL = 1e-13
 _CHUNK = 4096  # rows iterated at once; a chunk ends when its last row stops
@@ -46,17 +44,17 @@ def _quadratic_max_modulus(q0, q1):
 
 
 def _start_directions(d):
-    """cos and sin of the C code's start angles, from libm as C takes them.
+    """cos and sin of the start angles 2 pi j / d + 0.4, from libm.
 
     numpy dispatches its own vectorized cos and sin per CPU, and they
-    need not round as libm does.
+    need not round as libm does; Python's ``math`` calls libm.
     """
     angles = [6.283185307179586 * j / d + 0.4 for j in range(d)]
     return [math.cos(a) for a in angles], [math.sin(a) for a in angles]
 
 
 def _mul(ar, ai, br, bi, out_r, out_i, tmp):
-    """(ar + i ai)(br + i bi) into ``out_r``, ``out_i``, as the C code multiplies."""
+    """(ar + i ai)(br + i bi) into ``out_r``, ``out_i``, as ``_row_radius`` multiplies."""
     np.multiply(ar, br, out=out_r)
     np.multiply(ai, bi, out=tmp)
     out_r -= tmp
@@ -66,10 +64,10 @@ def _mul(ar, ai, br, bi, out_r, out_i, tmp):
 
 
 def _mul_one(br, bi, out_r, out_i, tmp):
-    """``_mul`` with a = 1 + 0i, the C code's start value of a product.
+    """``_mul`` with a = 1 + 0i, the start value of a product.
 
     1*b is b exactly, so only the 0*b terms are computed: 0*b is -0.0 for
-    a negative b, which sets the sign of a zero sum as in the C code.
+    a negative b, which sets the sign of a zero sum as in ``_row_radius``.
     """
     np.multiply(bi, 0.0, out=tmp)
     np.subtract(br, tmp, out=out_r)
@@ -89,8 +87,8 @@ def _sweep(q, zr, zi, work):
     ``q``, ``zr`` and ``zi`` have shape (d, m): ``zr[j]`` holds root j of
     every row. ``work`` comes from ``_work_arrays``. Returns, per row,
     the largest |w|^2 of the sweep's corrections and the largest |z|^2 of
-    its updated roots, as the C code's ``step`` and ``zmax``. Every
-    operation is one the C code makes, in its order.
+    its updated roots, as ``_row_radius``'s ``step`` and ``zmax``. Every
+    operation is one ``_row_radius`` makes, in its order.
     """
     d = q.shape[0]
     (pr, pi, ta, tb, tc, wr, wi), (dr, di, s1, s2, s3, den) = work
@@ -129,7 +127,7 @@ def _sweep(q, zr, zi, work):
         np.divide(s1, den, out=wi[j])
         zr[j] -= wr[j]
         zi[j] -= wi[j]
-    # fmax passes over a NaN as the C code's `>` comparisons do
+    # fmax passes over a NaN as _row_radius's `>` comparisons do
     _abs2(wr, wi, ta, tb)
     step = np.fmax.reduce(ta, axis=0, initial=0.0)
     _abs2(zr, zi, ta, tb)
@@ -142,7 +140,7 @@ def _work_arrays(d, m):
 
 
 def _row_radius(q, r0, cos0, sin0):
-    """The radius of one row, ``_native.c``'s ``row_radius`` in Python floats.
+    """The radius of one row, in Python floats.
 
     ``q`` holds the row's coefficients and ``r0`` its start radius, both as
     ``_durand_kerner`` computes them; ``cos0`` and ``sin0`` come from
@@ -230,16 +228,14 @@ def _durand_kerner(coeffs, rows, out):
 def max_root_modulus_batch(coeffs):
     """Max root modulus per row of a (N, d) batch of monic polynomials.
 
-    Raises ValueError for a degree outside 1..``MAX_DEGREE``, as the
-    native kernel does.
+    The caller checks the degree, as ``_kernels.max_root_modulus_batch``
+    does, and screens out non-finite, huge and tiny rows.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=float)
     n, d = coeffs.shape
-    if d < 1 or d > MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {d}")
     if d == 1:
         return np.abs(coeffs[:, 0])
-    # an overflow gives inf or NaN without a warning, as in the C code
+    # an overflow gives inf or NaN without a warning, as in Python floats
     with np.errstate(all="ignore"):
         if d == 2:
             return _quadratic_max_modulus(coeffs[:, 0], coeffs[:, 1])

@@ -130,8 +130,10 @@ class MultistepConfig:
 
     def __post_init__(self):
         self.xi = tuple(float(v) for v in self.xi)
-        if not 1 <= self.tau <= 16:
-            raise ValidationError(f"xi must hold 1..16 weights, got {self.tau}")
+        if not 1 <= self.tau <= TOL.max_poly_degree:
+            raise ValidationError(
+                f"xi must hold 1..{TOL.max_poly_degree} weights, got {self.tau}"
+            )
         if abs(sum(self.xi) - 1.0) > TOL.mixing_weight_sum:
             raise ValidationError(f"xi must sum to 1, got {sum(self.xi)!r}")
         if self.beta <= 0:

@@ -101,8 +101,9 @@ def polynomial_max_root_modulus(coeffs):
 
     ``coeffs`` lists the coefficients in descending degree order,
     ``[1, c_{d-1}, ..., c_0]``; the leading coefficient must be 1 and
-    1 <= d <= 16. The value is that of ``_kernels.max_root_modulus_batch``
-    on the ascending row ``[c_0, ..., c_{d-1}]``, bit for bit.
+    1 <= d <= ``TOL.max_poly_degree``. The value is that of
+    ``_kernels.max_root_modulus_batch`` on the ascending row
+    ``[c_0, ..., c_{d-1}]``, bit for bit.
     """
     c = as_vector(coeffs, "coeffs")
     d = c.size - 1

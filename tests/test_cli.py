@@ -24,6 +24,10 @@ class TestTables:
         assert (out1 / "table2.csv").read_bytes() == (out2 / "table2.csv").read_bytes()
         assert (out1 / "table3.csv").read_bytes() == (out2 / "table3.csv").read_bytes()
 
+    def test_run_json_names_the_one_kernel(self, tmp_path):
+        assert main(["tables", "--only", "ppm", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["kernel_backend"] == "fallback"
+
     def test_ppm_row_counts(self, tmp_path):
         out = tmp_path / "t"
         assert main(["tables", "--only", "ppm", "--out", str(out)]) == 0

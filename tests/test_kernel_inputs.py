@@ -1,4 +1,4 @@
-"""``scripts/kernel_inputs.py compare`` on small hand-made recordings."""
+"""``scripts/kernel_inputs.py compare`` and ``replay`` on small hand-made recordings."""
 
 import os
 import subprocess
@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from proxflow import _kernels
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,10 +19,10 @@ def save(directory, calls):
     return directory
 
 
-def compare(old, new):
+def script(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "kernel_inputs.py"), "compare", str(old), str(new)],
+        [sys.executable, str(ROOT / "scripts" / "kernel_inputs.py"), *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     return done.returncode, done.stdout.splitlines()
@@ -34,7 +36,7 @@ def test_compare_tells_call_order_from_row_content(tmp_path):
     # figure1: the same rows of each degree, spread over other calls
     moved = [np.concatenate([calls[2], calls[0][:2]]), calls[1], calls[0][2:]]
     new = save(tmp_path / "new", {"tables": calls, "figure1": moved})
-    assert compare(old, new) == (0, [
+    assert script("compare", old, new) == (0, [
         "tables: equal call by call (3 calls)",
         "figure1: equal as a multiset of rows per degree, not call by call",
     ])
@@ -42,7 +44,28 @@ def test_compare_tells_call_order_from_row_content(tmp_path):
     nudged = [c.copy() for c in calls]
     nudged[2][0, 0] = np.nextafter(nudged[2][0, 0], 2.0)
     bad = save(tmp_path / "bad", {"tables": nudged, "figure1": calls})
-    assert compare(old, bad) == (1, [
+    assert script("compare", old, bad) == (1, [
         "tables: differ, as calls and as a multiset of rows per degree",
         "figure1: equal call by call (3 calls)",
     ])
+
+
+def test_replay_saves_the_radii_of_the_kernel(tmp_path):
+    # every degree class: closed forms, the row path, the vectorized path,
+    # a zero row, and a NaN row and a huge row, which the kernel screens
+    rng = np.random.default_rng(1)
+    tables = [rng.uniform(-2.0, 2.0, (n, d)) for n, d in ((3, 1), (4, 2), (5, 3), (40, 4))]
+    tables[2][0] = 0.0
+    tables[3][[1, 2]] = [np.nan, 0.0, 1.0, 0.5], [1e200, -3.0, 0.0, 2.0]
+    figure1 = [rng.uniform(-1.0, 1.0, (20, 3)), rng.uniform(-1.0, 1.0, (2, 16))]
+    recorded = save(tmp_path / "rec", {"tables": tables, "figure1": figure1})
+    code, out = script("replay", recorded, "--save", tmp_path / "radii.npz")
+    assert code == 0
+    assert [line.rpartition(",")[0] for line in out] == [
+        "tables: 4 calls, 52 rows", "figure1: 2 calls, 22 rows"
+    ]
+    with np.load(tmp_path / "radii.npz") as radii:
+        assert sorted(radii.files) == ["figure1", "tables"]
+        for name, calls in (("tables", tables), ("figure1", figure1)):
+            want = np.concatenate([_kernels.max_root_modulus_batch(c) for c in calls])
+            assert radii[name].tobytes() == want.tobytes()

@@ -1,12 +1,6 @@
-import importlib.util
 import re
-import subprocess
-import sys
-import sysconfig
-import time
 import tracemalloc
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,46 +14,6 @@ from proxflow.multistep import bdf_coefficients
 from proxflow.numerics import TOL, seeded_rng
 from proxflow.spectral import CompanionSpec, _coeff_rows, _lambda_grid
 
-BACKENDS = pytest.mark.parametrize("backend", ["fallback", "native"], indirect=True)
-
-
-@pytest.fixture(scope="module")
-def native_module(tmp_path_factory):
-    """The native kernel, built from ``_native.c`` by ``setup.py build_ext``.
-
-    Building with the shipped recipe tests its ``-ffp-contract=off``: the
-    compiler fuses no multiply-add, so the C code computes with IEEE basic
-    operations only. Skips when the build makes no extension, which it
-    leaves out with a warning when there is no C compiler or no Python
-    headers.
-    """
-    build = tmp_path_factory.mktemp("native")
-    command = [sys.executable, "setup.py", "build_ext", "--build-lib", build, "--build-temp", build]
-    done = subprocess.run(command, cwd=Path(__file__).parents[1], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr[-2000:]
-    target = build / "proxflow" / "_kernels" / ("_native" + sysconfig.get_config_var("EXT_SUFFIX"))
-    if not target.exists():
-        pytest.skip("setup.py built no native kernel: " + done.stderr.strip().rpartition("\n")[2])
-    spec = importlib.util.spec_from_file_location("proxflow._kernels._native", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture
-def native(native_module, monkeypatch):
-    """Selects ``native_module`` as the "native" backend of ``_kernels``."""
-    monkeypatch.setattr(_kernels, "_native", native_module)
-    monkeypatch.setattr(_kernels, "HAVE_NATIVE", True)
-
-
-@pytest.fixture
-def backend(request):
-    """The backend name of ``BACKENDS``; "native" is ``native_module``."""
-    if request.param == "native":
-        request.getfixturevalue("native")
-    return request.param
-
 
 def random_batch(seed, n, degree, scale=1.5):
     return seeded_rng(seed).uniform(-scale, scale, (n, degree))
@@ -68,19 +22,19 @@ def random_batch(seed, n, degree, scale=1.5):
 class TestFallback:
     def test_degree_one(self):
         rows = np.array([[0.3], [-2.0]])
-        got = _kernels.max_root_modulus_batch(rows, backend="fallback")
+        got = _kernels.max_root_modulus_batch(rows)
         assert np.allclose(got, [0.3, 2.0])
 
     def test_quadratic_branches(self):
         # real pair (z-2)(z+1), complex pair z^2 + 1, double root (z-1)^2
         rows = np.array([[-2.0, -1.0], [1.0, 0.0], [1.0, -2.0]])
-        got = _kernels.max_root_modulus_batch(rows, backend="fallback")
+        got = _kernels.max_root_modulus_batch(rows)
         assert np.allclose(got, [2.0, 1.0, 1.0])
 
     def test_matches_numpy_roots(self):
         for degree in (3, 4, 6, 10):
             rows = random_batch(degree, 200, degree)
-            got = _kernels.max_root_modulus_batch(rows, backend="fallback")
+            got = _kernels.max_root_modulus_batch(rows)
             for i in range(rows.shape[0]):
                 coeffs = np.concatenate([[1.0], rows[i][::-1]])
                 want = np.abs(np.roots(coeffs)).max()
@@ -88,47 +42,71 @@ class TestFallback:
 
     def test_all_zero_rows(self):
         rows = np.zeros((3, 4))
-        got = _kernels.max_root_modulus_batch(rows, backend="fallback")
+        got = _kernels.max_root_modulus_batch(rows)
         assert np.array_equal(got, np.zeros(3))
 
+    def test_raises_no_warning(self):
+        # random rows, rows with huge coefficients and rows with tiny
+        # roots, which reach the kernel scaled, stability rows, and rows
+        # that stop at the sweep cap
+        batches = [random_batch(d + 100, 500, d) for d in (1, 2, 3, 4, 8, 16)]
+        batches += [random_batch(d + 200, 100, d, scale=1e300) for d in (2, 3, 16)]
+        batches += [random_batch(d + 300, 100, d, scale=1e-60) for d in (3, 16)]
+        batches += [batch[:100] for batch in _repeated_root_rows()]
+        for rows in batches + _stability_rows()[::3]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _kernels.max_root_modulus_batch(rows)
 
-@BACKENDS
+
+class TestOneBackend:
+    """The ``backend=`` keyword and the facts ``run.json`` and the benchmark
+    harness read: one kernel, named "fallback"."""
+
+    def test_fallback_is_the_default(self):
+        rows = random_batch(9, 40, 4)
+        got = _kernels.max_root_modulus_batch(rows, backend="fallback")
+        assert got.tobytes() == _kernels.max_root_modulus_batch(rows).tobytes()
+        assert _kernels.backend_name() == "fallback"
+        assert _kernels.HAVE_NATIVE is False
+
+    @pytest.mark.parametrize("backend", ["native", None])
+    def test_any_other_backend_is_an_error(self, backend):
+        with pytest.raises(ValueError, match="backend must be 'fallback'"):
+            _kernels.max_root_modulus_batch(random_batch(9, 4, 3), backend=backend)
+
+
 @pytest.mark.parametrize("degree", [0, TOL.max_poly_degree + 1])
-def test_degree_guard(backend, degree):
+def test_degree_guard(degree):
     with pytest.raises(ValueError, match=f"degree must be in 1..{TOL.max_poly_degree}"):
-        _kernels.max_root_modulus_batch(np.zeros((1, degree)), backend=backend)
+        _kernels.max_root_modulus_batch(np.zeros((1, degree)))
 
 
-@BACKENDS
-def test_non_finite_rows_get_infinite_radius(backend):
+def test_non_finite_rows_get_infinite_radius():
     rows = random_batch(5, 6, 3)
     rows[1, 0], rows[3, 2], rows[4, 1] = np.nan, np.inf, -np.inf
-    got = _kernels.max_root_modulus_batch(rows, backend=backend)
+    got = _kernels.max_root_modulus_batch(rows)
     finite = np.isfinite(rows).all(axis=1)
     assert np.array_equal(got[~finite], np.full(3, np.inf))
-    assert np.array_equal(
-        got[finite], _kernels.max_root_modulus_batch(rows[finite], backend=backend)
-    )
+    assert np.array_equal(got[finite], _kernels.max_root_modulus_batch(rows[finite]))
 
 
-@BACKENDS
 @pytest.mark.parametrize("degree", [2, 3, 4, 8, 16])
-def test_huge_roots_keep_their_modulus(backend, degree):
+def test_huge_roots_keep_their_modulus(degree):
     # coefficients near 1e250, where the unscaled iteration overflows
     rng = seeded_rng(degree)
     roots = 10.0 ** (250 / degree) * rng.uniform(0.5, 2.0, degree) * rng.choice([-1.0, 1.0], degree)
-    got = _kernels.max_root_modulus_batch(np.poly(roots)[:0:-1][None, :], backend=backend)
+    got = _kernels.max_root_modulus_batch(np.poly(roots)[:0:-1][None, :])
     assert got[0] == pytest.approx(np.abs(roots).max(), rel=1e-9)
 
 
-@BACKENDS
 @pytest.mark.parametrize("degree", [3, 4, 8, 16])
-def test_tiny_roots_keep_their_modulus(backend, degree):
+def test_tiny_roots_keep_their_modulus(degree):
     # roots near 1e-83 at degree 3 and 3e-16 at degree 16, far below the
     # iteration's stop at corrections of about 1e-13
     rng = seeded_rng(degree)
     roots = 10.0 ** (-250 / degree) * rng.uniform(0.5, 2.0, degree) * rng.choice([-1.0, 1.0], degree)
-    got = _kernels.max_root_modulus_batch(np.poly(roots)[:0:-1][None, :], backend=backend)
+    got = _kernels.max_root_modulus_batch(np.poly(roots)[:0:-1][None, :])
     # approx's default abs tolerance, 1e-12, would pass a radius of 1e-13
     assert got[0] == pytest.approx(np.abs(roots).max(), rel=1e-9, abs=0.0)
 
@@ -246,11 +224,11 @@ class TestBatchIndependence:
         row = np.array(row)
         rng = seeded_rng(seed)
         others = rng.uniform(-3.0, 3.0, (_fallback._ROW_PATH_ROWS + 1, row.size))
-        alone = _kernels.max_root_modulus_batch(row[None, :], backend="fallback")
+        alone = _kernels.max_root_modulus_batch(row[None, :])
         with mock.patch.object(_fallback, "_CHUNK", chunk):
             for at in (int(rng.integers(others.shape[0] + 1)), chunk + 1):
                 batch = np.insert(others, at, row, axis=0)
-                got = _kernels.max_root_modulus_batch(batch, backend="fallback")
+                got = _kernels.max_root_modulus_batch(batch)
                 assert got[at : at + 1].tobytes() == alone.tobytes()
 
     def test_rows_past_the_first_chunk_keep_their_bytes(self):
@@ -258,9 +236,9 @@ class TestBatchIndependence:
         # until they stop, so they show any row that stops late; a
         # repeated root stops only at the sweep cap
         for rows in _stability_rows()[::3] + _repeated_root_rows():
-            whole = _kernels.max_root_modulus_batch(rows, backend="fallback")
-            reverse = _kernels.max_root_modulus_batch(rows[::-1], backend="fallback")
-            tail = _kernels.max_root_modulus_batch(rows[_fallback._CHUNK :], backend="fallback")
+            whole = _kernels.max_root_modulus_batch(rows)
+            reverse = _kernels.max_root_modulus_batch(rows[::-1])
+            tail = _kernels.max_root_modulus_batch(rows[_fallback._CHUNK :])
             assert whole.tobytes() == reverse[::-1].tobytes()
             assert whole[_fallback._CHUNK :].tobytes() == tail.tobytes()
 
@@ -280,7 +258,7 @@ def _stability_rows():
     return rows
 
 
-# a root, its multiplicity, and the radius both kernels give the row of
+# a root, its multiplicity, and the radius the kernel gives the row of
 # (z - root)^multiplicity: it never meets the tolerance, and the radius is
 # the one after the _MAX_ITER-th sweep
 REPEATED_ROOTS = [(0.3, 3, 0.30000122), (0.5, 4, 0.50002423), (-0.7, 5, 0.70061597),
@@ -303,7 +281,7 @@ def _repeated_root_rows():
 def both_paths(rows, kernel=None):
     """``kernel``'s radii of ``rows`` with every fallback batch on the row
     path, then with every one on the vectorized path."""
-    kernel = kernel or (lambda c: _kernels.max_root_modulus_batch(c, backend="fallback"))
+    kernel = kernel or _kernels.max_root_modulus_batch
     with mock.patch.object(_fallback, "_ROW_PATH_ROWS", rows.shape[0]):
         row_path = kernel(rows)
     with mock.patch.object(_fallback, "_ROW_PATH_ROWS", 0):
@@ -374,66 +352,3 @@ class TestRowPath:
         assert small.tobytes() == large[: small.size].tobytes()
         assert not large[::2].any()
         assert large.tobytes() == both_paths(rows, _fallback.max_root_modulus_batch)[0].tobytes()
-
-
-@pytest.mark.usefixtures("native")
-class TestNativeParity:
-    def test_matches_fallback(self):
-        batches = [random_batch(d + 100, 500, d) for d in (1, 2, 3, 4, 8, 16)]
-        # rows with huge coefficients, which reach the kernels scaled
-        huge = [random_batch(d + 200, 100, d, scale=1e300) for d in (2, 3, 16)]
-        # and rows with tiny roots, which reach them scaled as well
-        tiny = [random_batch(d + 300, 100, d, scale=1e-60) for d in (3, 16)]
-        repeated = _repeated_root_rows()
-        for rows in batches + huge + tiny + _stability_rows() + repeated:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                fb = _kernels.max_root_modulus_batch(rows, backend="fallback")
-            nat = _kernels.max_root_modulus_batch(rows, backend="native")
-            assert np.array_equal(fb, nat)
-        for (*_, radius), rows in zip(REPEATED_ROOTS, repeated):
-            nat = _kernels.max_root_modulus_batch(rows[[0, -1]], backend="native")
-            assert nat == pytest.approx([radius, radius], rel=0, abs=5e-9)
-
-    def test_is_faster_on_large_batch(self):
-        # smoke benchmark: the compiled kernel should not be slower
-        rows = random_batch(1, 200000, 3)
-        t0 = time.perf_counter()
-        _kernels.max_root_modulus_batch(rows, backend="fallback")
-        t_fb = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        _kernels.max_root_modulus_batch(rows, backend="native")
-        t_nat = time.perf_counter() - t0
-        assert t_nat <= t_fb * 1.5
-
-
-def _read_only(array):
-    array.flags.writeable = False
-    return array
-
-
-class TestNativeEntryPoint:
-    """The C entry point checks what it is given: it is the one call into C."""
-
-    @pytest.mark.parametrize(
-        "coeffs, out",
-        [
-            (np.ones((2, 3), dtype=np.float32), np.empty(2)),
-            (np.asfortranarray(np.ones((2, 3))), np.empty(2)),
-            (np.ones(3), np.empty(3)),
-            (np.ones((2, 3)), np.empty(3)),
-            (np.ones((2, 3)), np.empty(2, dtype=np.float32)),
-            (np.ones((2, 3)), _read_only(np.empty(2))),
-            (np.ones((2, 0)), np.empty(2)),
-            (np.ones((2, 17)), np.empty(2)),
-            ([[1.0, 2.0, 3.0]], np.empty(1)),
-        ],
-        ids=["float32", "fortran", "1d", "out-length", "out-float32", "out-read-only",
-             "degree-0", "degree-17", "list"],
-    )
-    def test_rejects_bad_arguments(self, native_module, coeffs, out):
-        with pytest.raises((ValueError, TypeError)):
-            native_module.max_root_modulus_batch(coeffs, out)
-
-    def test_empty_batch(self, native_module):
-        assert native_module.max_root_modulus_batch(np.empty((0, 3)), np.empty(0)) is None

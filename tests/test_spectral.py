@@ -395,9 +395,9 @@ def kernel_rows(monkeypatch):
     sizes = []
     kernel = _kernels.max_root_modulus_batch
 
-    def recording(coeffs, backend=None):
+    def recording(coeffs):
         sizes.append(coeffs.shape[0])
-        return kernel(coeffs, backend)
+        return kernel(coeffs)
 
     monkeypatch.setattr(_kernels, "max_root_modulus_batch", recording)
     return sizes
@@ -645,9 +645,9 @@ class TestBetaScan:
         calls = []
         kernel = _kernels.max_root_modulus_batch
 
-        def recording(coeffs, backend=None):
+        def recording(coeffs):
             calls.append(coeffs.shape[0])
-            return kernel(coeffs, backend)
+            return kernel(coeffs)
 
         monkeypatch.setattr(_kernels, "max_root_modulus_batch", recording)
         curves = panel_curves(1.0, 10.0, 4, 1.0, (3, 4), betas)
