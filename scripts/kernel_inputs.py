@@ -14,12 +14,15 @@
         sends it only the inner rows that its sum test leaves, a block of
         groups at a time. Its rows are not saved. Prints, too, the calls
         and rows of the kernel's row-by-row path: the batches of at most
-        ``_fallback._ROW_PATH_ROWS`` rows that reach its iteration.
-    PYTHONPATH=src python3 scripts/kernel_inputs.py replay DIR [--save FILE]
+        ``_kernels._ROW_PATH_ROWS`` rows that reach its iteration.
+    PYTHONPATH=src python3 scripts/kernel_inputs.py replay DIR [--save FILE] [--check FILE]
         Calls the kernel again on every recorded call, in the recorded
         order and batches, and prints the time per command. ``--save``
-        writes the radii, one array per command, for a bitwise comparison
-        with another version.
+        writes the radii, one array per command. ``--check`` compares the
+        radii, bit for bit, with those a ``--save`` wrote, perhaps at
+        another version: it prints, per command, that every radius has
+        the saved bytes, or the first call and row whose radius does not,
+        and exits 1 when some radius differs.
     PYTHONPATH=src python3 scripts/kernel_inputs.py compare OLD NEW
         Compares two recordings, command by command: equal call by call
         (the same calls in the same order, bit for bit), else equal as a
@@ -38,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from proxflow import _kernels, cli
-from proxflow._kernels import _fallback
 
 COMMANDS = {
     "tables": ["tables"],
@@ -49,7 +51,7 @@ COMMANDS = {
 def record(out):
     out.mkdir(parents=True, exist_ok=True)
     kernel, schur = _kernels.max_root_modulus_batch, _kernels.schur_stable_batch
-    durand_kerner = _fallback._durand_kerner
+    durand_kerner = _kernels._durand_kerner
     for name, argv in COMMANDS.items():
         calls, schur_sizes, row_path = [], [], []
 
@@ -62,20 +64,20 @@ def record(out):
             return schur(coeffs)
 
         def iterating(coeffs, rows, out):
-            if rows.size <= _fallback._ROW_PATH_ROWS:
+            if rows.size <= _kernels._ROW_PATH_ROWS:
                 row_path.append((rows.size, coeffs.shape[1]))
             return durand_kerner(coeffs, rows, out)
 
         _kernels.max_root_modulus_batch = recording
         _kernels.schur_stable_batch = counting
-        _fallback._durand_kerner = iterating
+        _kernels._durand_kerner = iterating
         try:
             with tempfile.TemporaryDirectory() as tmp:
                 cli.main([*argv, "--jobs", "1", "--out", tmp])
         finally:
             _kernels.max_root_modulus_batch = kernel
             _kernels.schur_stable_batch = schur
-            _fallback._durand_kerner = durand_kerner
+            _kernels._durand_kerner = durand_kerner
         np.savez(out / f"{name}.npz", **{f"call{i:05d}": c for i, c in enumerate(calls)})
         summarize(name, [c.shape for c in calls])
         summarize(f"{name} schur_stable_batch", schur_sizes)
@@ -100,17 +102,39 @@ def load(path):
         return [data[key] for key in sorted(data.files)]
 
 
-def replay(directory, save):
-    radii = {}
+def replay(directory, save, check):
+    """Replay, save and check the radii of each command; False if any differ."""
+    radii, sizes = {}, {}
     for name in COMMANDS:
         calls = load(directory / f"{name}.npz")
         start = time.perf_counter()
         got = [_kernels.max_root_modulus_batch(c) for c in calls]
         elapsed = time.perf_counter() - start
-        radii[name] = np.concatenate(got)
+        radii[name], sizes[name] = np.concatenate(got), [r.size for r in got]
         print(f"{name}: {len(calls)} calls, {radii[name].size} rows, {elapsed:.3f} s")
     if save:
         np.savez(save, **radii)
+    if not check:
+        return True
+    with np.load(check) as saved:
+        return all([same_radii(name, radii[name], sizes[name], saved, check) for name in COMMANDS])
+
+
+def same_radii(name, got, sizes, saved, path):
+    """Print whether ``got`` has the bytes of ``saved[name]``, else where it first differs."""
+    want = saved[name] if name in saved.files else None
+    if want is None or want.size != got.size:
+        print(f"{name}: {got.size} radii, not the size of {path}'s")
+        return False
+    differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    if not differ.size:
+        print(f"{name}: every radius has the bytes of {path}")
+        return True
+    at = differ[0]
+    call = np.searchsorted(np.cumsum(sizes), at, side="right")
+    row = at - sum(sizes[:call])
+    print(f"{name}: call {call}, row {row}: radius {float(got[at])!r}, {path} has {float(want[at])!r}")
+    return False
 
 
 def row_multisets(calls):
@@ -155,6 +179,7 @@ def main(argv=None):
     rep = sub.add_parser("replay")
     rep.add_argument("dir", type=Path)
     rep.add_argument("--save", type=Path)
+    rep.add_argument("--check", type=Path)
     cmp = sub.add_parser("compare")
     cmp.add_argument("old", type=Path)
     cmp.add_argument("new", type=Path)
@@ -162,7 +187,7 @@ def main(argv=None):
     if args.action == "record":
         record(args.dir)
     elif args.action == "replay":
-        replay(args.dir, args.save)
+        return 0 if replay(args.dir, args.save, args.check) else 1
     else:
         return 0 if compare(args.old, args.new) else 1
     return 0

@@ -159,9 +159,9 @@ def _group_max_radius(rows, size):
     on all rows. A group whose endpoint radius is 0, inf or NaN certifies
     nothing. A single group, such as a golden-section probe of
     ``optimal_rate``, is certified too: its two kernel calls mostly hold
-    few enough rows for the numpy kernel's row-by-row path. Degrees 1 and
-    2 (closed forms) and grids of fewer than 3 points take one kernel
-    call on all rows.
+    few enough rows for the kernel's row-by-row path in Python floats,
+    ``_kernels._row_radius``. Degrees 1 and 2 (closed forms) and grids
+    of fewer than 3 points take one kernel call on all rows.
     """
     d = rows.shape[1]
     if d <= 2 or size < 3:

@@ -1,4 +1,4 @@
-"""``scripts/kernel_inputs.py compare`` and ``replay`` on small hand-made recordings."""
+"""``scripts/kernel_inputs.py compare``, ``replay`` and ``replay --check`` on small hand-made recordings."""
 
 import os
 import subprocess
@@ -69,3 +69,32 @@ def test_replay_saves_the_radii_of_the_kernel(tmp_path):
         for name, calls in (("tables", tables), ("figure1", figure1)):
             want = np.concatenate([_kernels.max_root_modulus_batch(c) for c in calls])
             assert radii[name].tobytes() == want.tobytes()
+
+
+def test_replay_check_names_the_first_radius_that_differs(tmp_path):
+    rng = np.random.default_rng(2)
+    tables = [rng.uniform(-1.0, 1.0, (n, 3)) for n in (4, 30, 5)]
+    figure1 = [rng.uniform(-1.0, 1.0, (6, 4))]
+    recorded = save(tmp_path / "rec", {"tables": tables, "figure1": figure1})
+    saved = tmp_path / "radii.npz"
+    assert script("replay", recorded, "--save", saved)[0] == 0
+    code, out = script("replay", recorded, "--check", saved)
+    assert code == 0
+    assert out[2:] == [
+        f"tables: every radius has the bytes of {saved}",
+        f"figure1: every radius has the bytes of {saved}",
+    ]
+    # one ulp in the radius of row 7 of call 1, and one row too few
+    with np.load(saved) as radii:
+        nudged = {name: radii[name].copy() for name in radii.files}
+    want = float(nudged["tables"][4 + 7])
+    nudged["tables"][4 + 7] = np.nextafter(want, np.inf)
+    nudged["figure1"] = nudged["figure1"][1:]
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **nudged)
+    code, out = script("replay", recorded, "--check", bad)
+    assert code == 1
+    assert out[2:] == [
+        f"tables: call 1, row 7: radius {want!r}, {bad} has {float(np.nextafter(want, np.inf))!r}",
+        f"figure1: 6 radii, not the size of {bad}'s",
+    ]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxflow import _kernels
-from proxflow._kernels import _fallback
 from proxflow.multistep import bdf_coefficients
 from proxflow.numerics import TOL, seeded_rng
 from proxflow.spectral import CompanionSpec, _coeff_rows, _lambda_grid
@@ -89,6 +88,27 @@ def test_non_finite_rows_get_infinite_radius():
     finite = np.isfinite(rows).all(axis=1)
     assert np.array_equal(got[~finite], np.full(3, np.inf))
     assert np.array_equal(got[finite], _kernels.max_root_modulus_batch(rows[finite]))
+
+
+@pytest.mark.parametrize("degree", [3, 4, 16])
+def test_every_row_class_in_one_batch_has_the_bytes_of_the_row_alone(degree):
+    # one batch through every branch of the screen: a NaN row and an inf
+    # row (radius inf), a huge row and a tiny row (solved scaled), a zero
+    # row (radius 0), and more plain rows than the row path takes, so the
+    # batch runs vectorized while each row alone runs row by row
+    rng = seeded_rng(degree + 600)
+    rows = rng.uniform(-1.5, 1.5, (2 * _kernels._ROW_PATH_ROWS + 5, degree))
+    rows[1, 0] = np.nan
+    rows[2, -1] = -np.inf
+    rows[3, 0] = 1.5 * 2.0 ** (960 / (2 * degree - 1))
+    # q_i = c_i s^(d-i) with |c_i| <= 1 has a root bound of at most s
+    rows[4] = rng.uniform(-1.0, 1.0, degree) * 2.0 ** (-12.0 * np.arange(degree, 0, -1))
+    rows[5] = 0.0
+    got = _kernels.max_root_modulus_batch(rows)
+    alone = np.concatenate([_kernels.max_root_modulus_batch(row[None, :]) for row in rows])
+    assert got.tobytes() == alone.tobytes()
+    assert got[1] == got[2] == np.inf and got[5] == 0.0
+    assert 1.0 < got[3] < np.inf and 0.0 < got[4] < 2.0**-11
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 8, 16])
@@ -223,9 +243,9 @@ class TestBatchIndependence:
         # earlier chunk of the vectorized path
         row = np.array(row)
         rng = seeded_rng(seed)
-        others = rng.uniform(-3.0, 3.0, (_fallback._ROW_PATH_ROWS + 1, row.size))
+        others = rng.uniform(-3.0, 3.0, (_kernels._ROW_PATH_ROWS + 1, row.size))
         alone = _kernels.max_root_modulus_batch(row[None, :])
-        with mock.patch.object(_fallback, "_CHUNK", chunk):
+        with mock.patch.object(_kernels, "_CHUNK", chunk):
             for at in (int(rng.integers(others.shape[0] + 1)), chunk + 1):
                 batch = np.insert(others, at, row, axis=0)
                 got = _kernels.max_root_modulus_batch(batch)
@@ -238,9 +258,9 @@ class TestBatchIndependence:
         for rows in _stability_rows()[::3] + _repeated_root_rows():
             whole = _kernels.max_root_modulus_batch(rows)
             reverse = _kernels.max_root_modulus_batch(rows[::-1])
-            tail = _kernels.max_root_modulus_batch(rows[_fallback._CHUNK :])
+            tail = _kernels.max_root_modulus_batch(rows[_kernels._CHUNK :])
             assert whole.tobytes() == reverse[::-1].tobytes()
-            assert whole[_fallback._CHUNK :].tobytes() == tail.tobytes()
+            assert whole[_kernels._CHUNK :].tobytes() == tail.tobytes()
 
 
 def _stability_rows():
@@ -272,19 +292,19 @@ def _repeated_root_rows():
     """
     batches = []
     for root, multiplicity, _ in REPEATED_ROOTS:
-        batch = random_batch(multiplicity + 400, _fallback._CHUNK + 2, multiplicity)
+        batch = random_batch(multiplicity + 400, _kernels._CHUNK + 2, multiplicity)
         batch[[0, -1]] = np.poly(np.full(multiplicity, root))[:0:-1]
         batches.append(batch)
     return batches
 
 
 def both_paths(rows, kernel=None):
-    """``kernel``'s radii of ``rows`` with every fallback batch on the row
-    path, then with every one on the vectorized path."""
+    """``kernel``'s radii of ``rows`` with every Durand–Kerner batch on the
+    row path, then with every one on the vectorized path."""
     kernel = kernel or _kernels.max_root_modulus_batch
-    with mock.patch.object(_fallback, "_ROW_PATH_ROWS", rows.shape[0]):
+    with mock.patch.object(_kernels, "_ROW_PATH_ROWS", rows.shape[0]):
         row_path = kernel(rows)
-    with mock.patch.object(_fallback, "_ROW_PATH_ROWS", 0):
+    with mock.patch.object(_kernels, "_ROW_PATH_ROWS", 0):
         vectorized = kernel(rows)
     return row_path, vectorized
 
@@ -330,25 +350,25 @@ class TestRowPath:
 
     def test_batches_up_to_the_threshold_take_the_row_path(self):
         # zero rows never reach the iteration, so they do not count
-        rows = random_batch(7, _fallback._ROW_PATH_ROWS + 2, 3)
+        rows = random_batch(7, _kernels._ROW_PATH_ROWS + 2, 3)
         rows[0] = 0.0
-        with mock.patch.object(_fallback, "_row_radius", wraps=_fallback._row_radius) as spy:
-            _fallback.max_root_modulus_batch(rows[1:])
+        with mock.patch.object(_kernels, "_row_radius", wraps=_kernels._row_radius) as spy:
+            _kernels._radii(rows[1:])
             assert spy.call_count == 0
-            _fallback.max_root_modulus_batch(rows[:-1])
-            assert spy.call_count == _fallback._ROW_PATH_ROWS
+            _kernels._radii(rows[:-1])
+            assert spy.call_count == _kernels._ROW_PATH_ROWS
 
     @pytest.mark.parametrize("degree", [3, 4, 16])
     def test_non_finite_rows_on_both_sides_of_the_threshold(self, degree):
-        # straight to the fallback, which ``_kernels`` never sends such a
-        # row: both paths give it the radius 0
-        rows = random_batch(degree + 500, 2 * _fallback._ROW_PATH_ROWS, degree)
+        # straight to the core, ``_radii``, which the screen never sends
+        # such a row: both paths give it the radius 0
+        rows = random_batch(degree + 500, 2 * _kernels._ROW_PATH_ROWS, degree)
         bad = [np.nan, np.inf, -np.inf]
         for i in range(0, rows.shape[0], 2):
             rows[i, i % degree] = bad[i % 3]
             rows[i, (3 * i + 1) % degree] = bad[(i + 1) % 3]
-        small = _fallback.max_root_modulus_batch(rows[: _fallback._ROW_PATH_ROWS])
-        large = _fallback.max_root_modulus_batch(rows)
+        small = _kernels._radii(rows[: _kernels._ROW_PATH_ROWS])
+        large = _kernels._radii(rows)
         assert small.tobytes() == large[: small.size].tobytes()
         assert not large[::2].any()
-        assert large.tobytes() == both_paths(rows, _fallback.max_root_modulus_batch)[0].tobytes()
+        assert large.tobytes() == both_paths(rows, _kernels._radii)[0].tobytes()

@@ -327,6 +327,30 @@ class TestMaxStableAlpha:
         stable = _worst_radius(alphas[:, None], _lambda_grid(1.0, lmax), spec) < 1.0
         assert np.array_equal(stable, alphas <= got.alpha)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 8: the Schur–Cohn bound stops short of the boundary",
+    )
+    @pytest.mark.parametrize(
+        "tau, beta, lmax",
+        [
+            # a root pair meets the circle as a double root at lambda = L:
+            # the root-modulus bisection gives 0.8461538461538459,
+            # max_stable_alpha 0.8461538420203853, 3.7e7 ulp short
+            (3, 1.0, 4.0),
+            # 0.9900674911402374 against 0.9900674911402363, 10 ulp short
+            (4, 3.0, 3.0),
+        ],
+    )
+    def test_short_cells_match_root_modulus_bisection(self, tau, beta, lmax):
+        # the 8-ulp bound of the hypothesis test below, on m = 1 cells
+        # where max_stable_alpha is known to miss it
+        xi = tuple(bdf_coefficients(tau)[0])
+        got = max_stable_alpha(1.0, lmax, beta, 1, xi)
+        want = every_row_stable_alpha(1.0, lmax, beta, 1, xi, root_modulus_stable).alpha
+        assert abs(got.alpha - want) <= 8 * np.spacing(want)
+
     @given(
         tau=st.integers(1, 4),
         m=st.integers(1, 20),
@@ -418,7 +442,7 @@ class TestSingleGridCertificate:
         kernel_rows.clear()
         got = _worst_radius(alpha, lams, spec)
         assert len(kernel_rows) == 2 and kernel_rows[0] == 2
-        assert 0 < kernel_rows[1] <= _kernels._fallback._ROW_PATH_ROWS
+        assert 0 < kernel_rows[1] <= _kernels._ROW_PATH_ROWS
         assert got.hex() == float(every_row_maximum(np.array([alpha]), lams, spec)[0]).hex()
 
     def test_table_cells_golden_probes_equal_the_every_row_maximum(self, monkeypatch):
