@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .experiments import SubspacePair, altproj_trace
 from .multistep import Trace
 from .numerics import (
     TOL,
@@ -129,8 +130,6 @@ def prescribed_angle_pair(angles, ambient=None, seed=None):
     e_i'), in a shared orthonormal frame, so the principal angles are
     exact; an optional seeded rotation places them in general position.
     """
-    from .experiments import SubspacePair
-
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 1 or angles.size < 1:
         raise ValidationError("need at least one angle")
@@ -172,8 +171,6 @@ def verify_rate(pair, xi, iterations):
     before the fit window ends, the window shrinks and the fit is flagged
     truncated.
     """
-    from .experiments import altproj_trace
-
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1 to fit a rate, got {iterations}")
     trace = altproj_trace(pair, tuple(xi), iterations)

@@ -15,18 +15,20 @@ Subcommands:
   its stationarity measure is 0 at the start (k = 0).
 - ``accel``: tuned two-step coefficients with predicted and fitted rates.
 
-Every flag has a config-file equivalent (a flat JSON object); explicit
-flags win over it, and the option table ``OPTIONS``, which declares each
-flag once, fills in what neither sets. A config file that cannot be read
-or is not JSON, a config key that names no option of the command, a
-value its flag would reject, or a flag abbreviated to a prefix is a
-usage error, and so is a value repeated in ``--tau``, ``--m-list`` or
-``--l-list``. ``tables``, ``figure1`` and ``run`` compute
-their independent cells, curves and per-tau runs (and the F* reference
-of ``run l1``) on ``--jobs`` forked worker processes (default: the CPUs
-available to the process; never more than there are work units), and
-their ``run.json`` gives the number used as ``workers``; ``accel`` takes
-``--jobs`` but runs in one process.
+Each run kind (``tables``, ``figure1``, each ``run`` experiment, and
+``accel`` with or without ``--angles``) takes only its options in the
+table ``OPTIONS``, which declares each flag once. Every flag has a
+config-file equivalent (a flat JSON object); explicit flags win over it,
+and ``OPTIONS`` fills in what neither sets. A config file that cannot be
+read or is not JSON, a flag or config key that names no option of the
+run kind (``--rho`` with ``--angles`` too), a value its flag would
+reject, or a flag abbreviated to a prefix is a usage error, and so is a
+value repeated in ``--tau``, ``--m-list`` or ``--l-list``. ``tables``,
+``figure1`` and ``run`` compute their independent cells, curves and
+per-tau runs (and the F* reference of ``run l1``) on ``--jobs`` forked
+worker processes (default: the CPUs available to the process; never more
+than there are work units), and their ``run.json`` gives the number used
+as ``workers``; ``accel`` runs in one process.
 ``PROXFLOW_SEED`` provides the default seed; a value that is not a
 non-negative integer is a usage error, as it is for ``--seed``. Exit codes:
 0 success, 2 usage error, 3 numeric divergence (outputs still written),
@@ -506,34 +508,33 @@ def _angle_list(text):
     return _split_list(text, _finite_float, distinct=False)
 
 
-# Run kinds: what an option's defaults are keyed by. ``run`` has one per
-# experiment, and ``accel`` with --angles has no rho default, because the
+# Run kinds: what the options are keyed by. ``run`` has one per
+# experiment, and ``accel`` with --angles takes no --rho, because the
 # angles determine rho.
 EXPERIMENTS = ("l1", "lsp", "altproj", "matfac")
 RUNS = tuple(f"run {e}" for e in EXPERIMENTS)
 SENSING = ("run l1", "run lsp")
 RUN_KINDS = ("tables", "figure1", *RUNS, "accel", "accel --angles")
-COMMANDS = ("tables", "figure1", "run", "accel")
 # the CPUs this process may run on: the default worker count of the
 # commands that use the pool
 CPUS = len(os.sched_getaffinity(0))
 
 
 class Option(NamedTuple):
-    """One command-line option, declared once for every command that takes it.
+    """One command-line option, declared once for every run kind that takes it.
 
-    Every option is None at parse time, so the precedence flag > config
-    file > ``defaults`` is unambiguous and ``run.json`` echoes each value a
-    run used. ``defaults`` maps a run kind to its value; an option with no
-    default for the run kind stays None (the l1/lsp inner step size is
-    computed from the problem). ``dest`` is given only where it is not the
-    flag's name.
+    ``kinds`` maps each run kind that takes the option to its default,
+    None where it has none (the l1/lsp inner step size is computed from
+    the problem). Every option is None at parse time, so the precedence
+    flag > config file > default is unambiguous and ``run.json`` echoes
+    each value a run used; a value set for an option that the run kind
+    does not take is a usage error. ``dest`` is given only where it is
+    not the flag's name.
     """
 
     flag: str
-    commands: tuple
+    kinds: dict
     type: Optional[Callable] = None
-    defaults: dict = {}
     help: Optional[str] = None
     choices: Optional[tuple] = None
     dest: Optional[str] = None
@@ -544,52 +545,59 @@ class Option(NamedTuple):
         return self.dest or self.flag[2:].replace("-", "_")
 
 
-# Rows are in --help order.
+# Rows are in --help order. --seed for tables and figure1, --spectrum for
+# run altproj and run matfac, and --jobs for accel change nothing; they
+# stay because the benchmark snapshot (perfbench/snapshot) records their
+# run.json keys, and a run.json only gains keys.
 OPTIONS = (
-    Option("--out", COMMANDS, None, dict.fromkeys(RUN_KINDS, "out"),
-           "output directory (default: out)"),
-    Option("--jobs", COMMANDS, _positive_int,
-           {**dict.fromkeys(RUN_KINDS, CPUS), "accel": 1, "accel --angles": 1},
-           "worker processes for tables, figure1 and run (default: CPUs "
-           "available); unused by accel"),
-    Option("--config", COMMANDS, help="JSON config file (flags win)"),
-    Option("--seed", COMMANDS, _seed_int, help="random seed (a non-negative integer)"),
-    Option("--only", ("tables",), choices=tuple(sorted(METHOD_TAU)),
+    Option("--out", dict.fromkeys(RUN_KINDS, "out"), help="output directory (default: out)"),
+    Option("--jobs", {**dict.fromkeys(RUN_KINDS, CPUS), "accel": 1, "accel --angles": 1},
+           _positive_int,
+           "worker processes for tables, figure1 and run (default: CPUs available); "
+           "accel runs in one process"),
+    Option("--config", dict.fromkeys(RUN_KINDS), help="JSON config file (flags win)"),
+    Option("--seed", dict.fromkeys(RUN_KINDS), _seed_int, "random seed (a non-negative integer)"),
+    Option("--only", {"tables": None}, choices=tuple(sorted(METHOD_TAU)),
            help="restrict to one method"),
-    Option("--tau", ("figure1", "run"), _int_list, dict.fromkeys(("figure1", *RUNS), (1, 2, 3))),
-    Option("--m-list", ("figure1",), _int_list, {"figure1": (1, 4, 20)}),
-    Option("--l-list", ("figure1",), _float_list, {"figure1": (2.0, 10.0)}),
-    Option("--beta", ("run",), _finite_float, dict.fromkeys(SENSING, 1.0)),
-    Option("--m", ("run",), int, dict.fromkeys(SENSING, 4)),
+    Option("--tau", dict.fromkeys(("figure1", *RUNS), (1, 2, 3)), _int_list),
+    Option("--m-list", {"figure1": (1, 4, 20)}, _int_list),
+    Option("--l-list", {"figure1": (2.0, 10.0)}, _float_list),
+    Option("--beta", dict.fromkeys(SENSING, 1.0), _finite_float),
+    Option("--m", dict.fromkeys(SENSING, 4), int),
     Option(
-        "--alpha", ("figure1", "run"), _finite_float, {"figure1": 1.0, "run matfac": 0.1},
+        "--alpha", {"figure1": 1.0, **dict.fromkeys(SENSING), "run matfac": 0.1}, _finite_float,
         "figure1: inner proximal-gradient step size the radii are computed for "
         "(default 1.0); run l1, lsp: inner proximal-gradient step size (default "
         "beta / (beta L + 1)); run matfac: proximal weight of each block solve "
-        "(default 0.1); run altproj: unused",
+        "(default 0.1)",
     ),
-    Option("--beta-min", ("figure1",), _positive_float, {"figure1": 0.05}),
-    Option("--beta-max", ("figure1",), _positive_float, {"figure1": 50.0}),
-    Option("--beta-points", ("figure1",), _positive_int, {"figure1": 25}),
-    Option("--lambda", ("run",), _finite_float, {"run l1": 0.01}, dest="lam"),
-    Option("--theta", ("run",), _finite_float, {"run lsp": 5.0}),
-    Option("--sigma", ("run",), _finite_float, {"run altproj": 0.5}),
-    Option("--rank", ("run",), int, {"run matfac": 10}),
-    Option("--rho", ("accel",), _finite_float, {"accel": 0.25}),
-    Option("--angles", ("accel",), _angle_list),
-    Option(
-        "--iters", ("run", "accel"), int,
-        {**dict.fromkeys(SENSING, 2000), "run altproj": 300, "run matfac": 300,
-         "accel": 400, "accel --angles": 400},
-    ),
-    Option("--tol", ("run",), _finite_float),
-    Option("--p", ("run",), int, {"run l1": 50, "run lsp": 20}),
-    Option("--q", ("run",), int, {"run l1": 100, "run lsp": 50}),
-    Option("--n", ("run",), int, {"run altproj": 500, "run matfac": 100}),
-    Option("--d", ("run",), int, {"run altproj": 400}),
-    Option("--spectrum", ("run",), defaults=dict.fromkeys(RUNS, "uniform"),
-           choices=SPECTRUM_KINDS),
+    Option("--beta-min", {"figure1": 0.05}, _positive_float),
+    Option("--beta-max", {"figure1": 50.0}, _positive_float),
+    Option("--beta-points", {"figure1": 25}, _positive_int),
+    Option("--lambda", {"run l1": 0.01}, _finite_float, dest="lam"),
+    Option("--theta", {"run lsp": 5.0}, _finite_float),
+    Option("--sigma", {"run altproj": 0.5}, _finite_float),
+    Option("--rank", {"run matfac": 10}, int),
+    Option("--rho", {"accel": 0.25}, _finite_float),
+    Option("--angles", {"accel --angles": None}, _angle_list),
+    Option("--iters", {**dict.fromkeys(SENSING, 2000), "run altproj": 300, "run matfac": 300,
+                       "accel": 400, "accel --angles": 400}, int),
+    Option("--tol", dict.fromkeys(SENSING), _finite_float),
+    Option("--p", {"run l1": 50, "run lsp": 20}, int),
+    Option("--q", {"run l1": 100, "run lsp": 50}, int),
+    Option("--n", {"run altproj": 500, "run matfac": 100}, int),
+    Option("--d", {"run altproj": 400}, int),
+    Option("--spectrum", dict.fromkeys(RUNS, "uniform"), choices=SPECTRUM_KINDS),
 )
+
+
+def _add_options(parser, kinds):
+    """Add to ``parser`` every option that one of ``kinds`` takes."""
+    for opt in OPTIONS:
+        if any(kind in opt.kinds for kind in kinds):
+            parser.add_argument(
+                opt.flag, dest=opt.attr, type=opt.type, choices=opt.choices, help=opt.help
+            )
 
 
 def build_parser():
@@ -608,19 +616,20 @@ def build_parser():
         ("accel", cmd_accel, "tuned alternating projections"),
     ):
         p = sub.add_parser(command, help=text, allow_abbrev=False)
-        if command == "run":
-            p.add_argument("experiment", choices=EXPERIMENTS)
-        for opt in OPTIONS:
-            if command in opt.commands:
-                p.add_argument(
-                    opt.flag, dest=opt.attr, type=opt.type, choices=opt.choices, help=opt.help
-                )
         p.set_defaults(func=func)
+        if command == "run":
+            experiments = p.add_subparsers(dest="experiment", required=True)
+            for e in EXPERIMENTS:
+                _add_options(experiments.add_parser(e, allow_abbrev=False), [f"run {e}"])
+        else:
+            _add_options(p, [kind for kind in RUN_KINDS if kind.split()[0] == command])
     return parser
 
 
 def _apply_config(args, parser):
-    options = [opt for opt in OPTIONS if args.command in opt.commands]
+    name = f"run {args.experiment}" if args.command == "run" else args.command
+    # the options of the parser that parsed args: each one set an attribute
+    options = [opt for opt in OPTIONS if hasattr(args, opt.attr)]
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -631,10 +640,10 @@ def _apply_config(args, parser):
             parser.error("config file must hold a JSON object")
         # a key is the option's flag name or its dest
         by_key = {key: opt for opt in options for key in (opt.flag[2:], opt.attr)}
-        argv = [args.command] + ([args.experiment] if args.command == "run" else [])
+        argv = name.split()
         for key, value in config.items():
             if key not in by_key:
-                parser.error(f"config file: {key!r} is not an option of {args.command}")
+                parser.error(f"config file: {key!r} is not an option of {name}")
             if value is not None:
                 text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
                 argv.append(f"{by_key[key].flag}={text}")
@@ -643,12 +652,12 @@ def _apply_config(args, parser):
         for dest, value in vars(from_config).items():
             if getattr(args, dest) is None:
                 setattr(args, dest, value)
-    kind = f"run {args.experiment}" if args.command == "run" else args.command
-    if kind == "accel" and args.angles is not None:
-        kind = "accel --angles"
+    kind = "accel --angles" if name == "accel" and args.angles is not None else name
     for opt in options:
         if getattr(args, opt.attr) is None:
-            setattr(args, opt.attr, opt.defaults.get(kind))
+            setattr(args, opt.attr, opt.kinds.get(kind))
+        elif kind not in opt.kinds:
+            parser.error(f"{kind} takes no {opt.flag}")
 
 
 def main(argv=None):

@@ -401,7 +401,7 @@ def epsilon_stationarity(objective, x, beta, inner_alpha=None):
     if objective.exact_prox is not None:
         p = objective.exact_prox(x, beta)
     else:
-        per_step = 1.0 - 1.0 / (beta * objective.smoothness + 1.0)
+        per_step = gamma_bound(beta, objective.smoothness, 1)
         inner_m = min(100000, int(math.ceil(math.log(1e-12) / math.log(per_step))))
         if inner_alpha is None:
             inner_alpha = beta / (beta * objective.smoothness + 1.0)

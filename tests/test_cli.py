@@ -437,9 +437,16 @@ class TestConfigPrecedence:
 
 
 COMMON_FLAGS = {"--out", "--jobs", "--config", "--seed"}
-RUN_FLAGS = COMMON_FLAGS | {
-    "--tau", "--beta", "--m", "--alpha", "--lambda", "--theta", "--sigma", "--rank",
-    "--iters", "--tol", "--p", "--q", "--n", "--d", "--spectrum",
+SENSING_FLAGS = COMMON_FLAGS | {
+    "--tau", "--beta", "--m", "--alpha", "--iters", "--tol", "--p", "--q", "--spectrum",
+}
+# each run experiment takes only the flags it uses; altproj and matfac also
+# take --spectrum, which they do not use (see README)
+RUN_FLAGS = {
+    "l1": SENSING_FLAGS | {"--lambda"},
+    "lsp": SENSING_FLAGS | {"--theta"},
+    "altproj": COMMON_FLAGS | {"--tau", "--sigma", "--iters", "--n", "--d", "--spectrum"},
+    "matfac": COMMON_FLAGS | {"--tau", "--alpha", "--rank", "--iters", "--n", "--spectrum"},
 }
 # argv and the exact set of flags, per command and per run experiment
 OPTION_SURFACES = {
@@ -447,17 +454,38 @@ OPTION_SURFACES = {
     "figure1": (["figure1"], COMMON_FLAGS | {
         "--tau", "--m-list", "--l-list", "--alpha", "--beta-min", "--beta-max", "--beta-points",
     }),
-    **{f"run_{e}": (["run", e], RUN_FLAGS) for e in ("l1", "lsp", "altproj", "matfac")},
+    **{f"run_{e}": (["run", e], flags) for e, flags in RUN_FLAGS.items()},
     "accel": (["accel"], COMMON_FLAGS | {"--rho", "--angles", "--iters"}),
 }
+# the same per run kind: accel with --angles is a kind of its own, which
+# takes no --rho
+RUN_KIND_SURFACES = {
+    **OPTION_SURFACES,
+    "accel": (["accel"], OPTION_SURFACES["accel"][1] - {"--angles"}),
+    "accel_angles": (["accel", "--angles", "0.3"], OPTION_SURFACES["accel"][1] - {"--rho"}),
+}
+# the flags that a run kind does not take although they changed nothing
+# there before each kind took only its own options
+NO_OP_PAIRS = [
+    *[(["run", "l1"], flag) for flag in ("--theta", "--sigma", "--rank", "--n", "--d")],
+    *[(["run", "lsp"], flag) for flag in ("--lambda", "--sigma", "--rank", "--n", "--d")],
+    *[(["run", "altproj"], flag) for flag in (
+        "--beta", "--m", "--alpha", "--lambda", "--theta", "--rank", "--tol", "--p", "--q",
+    )],
+    *[(["run", "matfac"], flag) for flag in (
+        "--beta", "--m", "--lambda", "--theta", "--sigma", "--tol", "--p", "--q", "--d",
+    )],
+    (["accel", "--angles", "0.3"], "--rho"),
+]
+
+
+def _dest(flag):
+    return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
 
 
 def _config_keys(flags):
     """A config key is an option's flag name or its dest."""
-    names = {flag[2:] for flag in flags}
-    return names | {name.replace("-", "_") for name in names} | (
-        {"lam"} if "lambda" in names else set()
-    )
+    return {flag[2:] for flag in flags} | {_dest(flag) for flag in flags}
 
 
 class TestOptionSurface:
@@ -467,7 +495,7 @@ class TestOptionSurface:
 
         argv, flags = OPTION_SURFACES[name]
         with pytest.raises(SystemExit) as exc:
-            main([argv[0], "--help"])
+            main([*argv, "--help"])
         assert exc.value.code == 0
         listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
         assert listed == flags | {"--help"}
@@ -495,6 +523,70 @@ class TestOptionSurface:
                 main([*argv, flag, "1"])
             assert exc.value.code == 2
         assert len(seen) == 1
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv, flag", NO_OP_PAIRS, ids=[" ".join([*a[:2], f]) for a, f in NO_OP_PAIRS]
+    )
+    def test_option_the_run_kind_does_not_use_is_usage_error(
+        self, tmp_path, monkeypatch, argv, flag, source
+    ):
+        # such a value would change nothing but the run.json that echoes
+        # it; 1 is a value that each of these flags' types accepts
+        import proxflow.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", seen.append)
+        if source == "flag":
+            argv = [*argv, flag, "1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: 1}))
+            argv = [*argv, "--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert seen == []
+        assert not (tmp_path / "o").exists()
+
+    def test_rho_flag_with_angles_from_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"angles": [0.3, 0.4]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["accel", "--rho", "0.5", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "accel --angles takes no --rho" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("everything", [False, True], ids=["defaults", "all-set"])
+    @pytest.mark.parametrize("name", sorted(RUN_KIND_SURFACES))
+    def test_run_json_config_holds_only_the_run_kinds_options(
+        self, name, everything, tmp_path, monkeypatch
+    ):
+        import proxflow.cli as cli
+
+        argv, flags = RUN_KIND_SURFACES[name]
+        # the command only writes its run.json, since only the options are under test
+        monkeypatch.setattr(
+            cli, f"cmd_{argv[0]}", lambda args: cli._write_metadata(tmp_path, argv[0], args, {})
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        values = {
+            "--out": str(tmp_path / "o"), "--jobs": "1", "--config": str(cfg), "--seed": "3",
+            "--only": "ppm", "--tau": "1,2", "--m-list": "4", "--l-list": "2", "--beta": "2",
+            "--m": "3", "--alpha": "0.5", "--beta-min": "0.1", "--beta-max": "5",
+            "--beta-points": "3", "--lambda": "0.1", "--theta": "2", "--sigma": "0.3",
+            "--rank": "3", "--rho": "0.3", "--iters": "5", "--tol": "1e-6", "--p": "5",
+            "--q": "10", "--n": "8", "--d": "2", "--spectrum": "uniform",
+        }
+        extra = [f"{flag}={values[flag]}" for flag in sorted(flags - set(argv))]
+        main([*argv, *(extra if everything else [])])
+        config = json.loads((tmp_path / "run.json").read_text())["config"]
+        keys = set(config) - {"command", "experiment"}
+        assert keys <= {_dest(flag) for flag in flags}
+        if everything:
+            assert keys == {_dest(flag) for flag in flags}
 
     @pytest.mark.parametrize(
         "argv",
